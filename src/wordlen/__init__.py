@@ -67,12 +67,9 @@ from .lengthmodel import (
 from .ngram import (
     EntropyProfile,
     NgramCountTable,
-    conditional_entropy,
     count_ngrams,
     entropy_profile,
     merge_tables,
-    mutual_information_digram,
-    prefix_marginal,
     zero_order_entropy,
 )
 from .simulate import (

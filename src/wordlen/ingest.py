@@ -129,8 +129,12 @@ def _prepare(text: str, case_fold: bool) -> str:
 
 def tokenize_word(text: str, inv: SymbolInventory) -> Word:
     """Tokenize one word into letter indices; raises on any non-letter."""
+    return _tokenize_word(text, _Tokenizer(inv, include_separator=False))
+
+
+def _tokenize_word(text: str, tok: _Tokenizer) -> Word:
+    inv = tok.inv
     text = _prepare(text, inv.case_fold)
-    tok = _Tokenizer(inv, include_separator=False)
     out: list[int] = []
     pos = 0
     while pos < len(text):
@@ -168,12 +172,13 @@ def load_wordlist(
     line number in strict mode and is skipped otherwise.
     """
     words: set[Word] = set()
+    tok = _Tokenizer(inv, include_separator=False)
     for line_no, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            words.add(tokenize_word(line, inv))
+            words.add(_tokenize_word(line, tok))
         except TokenizationError as err:
             if strict:
                 raise TokenizationError(str(err), line=line_no) from None

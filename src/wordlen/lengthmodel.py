@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .ingest import WordLengthHistogram
 
@@ -89,6 +88,9 @@ def chi_square_p_value(stat: float, df: int) -> float:
         raise ValueError("statistic must be non-negative")
     if df < 1:
         raise ValueError("df must be >= 1")
+    # imported here: loading scipy costs every subcommand a third of a second
+    from scipy.special import gammaincc
+
     # regularized upper incomplete gamma Q(df/2, stat/2)
     return float(gammaincc(df / 2.0, stat / 2.0))
 

@@ -10,17 +10,17 @@ plug-in estimate is biased low once contexts get sparse; profiles therefore
 carry a per-order adequacy flag (stream shorter than L**n windows cannot
 sample order n).
 
-``entropy_profile`` estimates every order from marginals of one top-order
-count table, i.e. all orders are read off the same empirical distribution.
-That construction makes the two theoretical guarantees hold exactly on any
-input, not just asymptotically:
+Counts have one form, ``NgramCountTable``: the sorted distinct codes of a
+stream's width-k windows (base L, first symbol most significant) and their
+counts. Tables merge by summing counts per code, so slices of a stream, each
+reading k-1 symbols past its end, merge to the one-pass table.
+``entropy_profile`` counts once at the top order and reads every H_n off
+marginals of that table (``code % L**n`` codes a window's last n symbols),
+which makes these hold exactly on any input:
 
     0 <= H_n <= log2(L)        and        H_n <= H_{n-1}
 
-Counting with separately-built tables per order (``count_ngrams`` plus
-``conditional_entropy``) gives asymptotically identical numbers but can
-break those orderings by O(1/T) at stream boundaries, because the prefix
-table then normalizes over a slightly different window set.
+so the adjacent-symbol mutual information H_1 - H_2 is never negative.
 """
 
 from __future__ import annotations
@@ -30,149 +30,86 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ingest import SymbolStream
 from .inventory import SymbolInventory
-
-Ngram = tuple[int, ...]
 
 # int64 window codes need order * log2(alphabet) to fit
 _CODE_BITS = 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NgramCountTable:
-    """Sparse counts of fixed-length symbol windows."""
+    """Sorted distinct codes of width-``order`` windows over ``base`` symbols,
+    with the positive int64 count of each."""
 
     order: int
-    counts: dict[Ngram, int]
-    total: int
+    base: int
+    codes: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match the sum of counts")
-        if any(len(k) != self.order for k in self.counts):
-            raise ValueError(f"all keys must have length {self.order}")
-        if any(c <= 0 for c in self.counts.values()):
-            raise ValueError("counts must be positive")
+        codes, counts = (np.asarray(a, dtype=np.int64) for a in (self.codes, self.counts))
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "counts", counts)
+        if self.order < 1 or self.base < 2:
+            raise ValueError("order must be >= 1 and base >= 2")
+        if codes.ndim != 1 or codes.shape != counts.shape:
+            raise ValueError("codes and counts must be 1-D and of equal length")
+        if np.any(np.diff(codes) <= 0) or np.any(counts <= 0):
+            raise ValueError("codes must be sorted and distinct, counts positive")
+        if codes.size and (codes[0] < 0 or int(codes[-1]) >= self.base**self.order):
+            raise ValueError(f"code outside 0..{self.base}**{self.order}")
 
-    @classmethod
-    def empty_context(cls, total: int) -> "NgramCountTable":
-        """Order-0 table: the empty context seen ``total`` times.
-
-        Pass as the prefix table when computing the order-1 entropy.
-        """
-        return cls(0, {(): total} if total else {}, total)
-
-
-def _symbols_of(stream: SymbolStream | np.ndarray) -> np.ndarray:
-    if isinstance(stream, SymbolStream):
-        return stream.symbols
-    return np.asarray(stream, dtype=np.int64)
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
 
-def _code_base(sym: np.ndarray, order: int) -> int:
-    base = int(sym.max()) + 1 if sym.size else 2
-    if order * math.log2(max(base, 2)) > _CODE_BITS:
-        raise ValueError(
-            f"order {order} over {base} symbols exceeds the int64 window coding"
-        )
-    return base
-
-
-def _window_codes(sym: np.ndarray, order: int, base: int) -> np.ndarray:
-    if order == 1:
-        return sym
-    windows = sliding_window_view(sym, order)
-    powers = base ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    return windows @ powers
-
-
-def _decode(code: int, order: int, base: int) -> Ngram:
-    out = []
-    for _ in range(order):
-        code, digit = divmod(code, base)
-        out.append(int(digit))
-    return tuple(reversed(out))
-
-
-def _count_block(sym: np.ndarray, order: int, base: int, sep: int | None) -> dict[Ngram, int]:
-    codes = _window_codes(sym, order, base)
-    if sep is not None:
-        keep = ~np.any(sliding_window_view(sym, order) == sep, axis=1)
-        codes = codes[keep]
-    uniq, cnt = np.unique(codes, return_counts=True)
-    return {_decode(int(u), order, base): int(c) for u, c in zip(uniq, cnt)}
+def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the summed counts of each."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
 def count_ngrams(
     stream: SymbolStream | np.ndarray,
+    inventory: SymbolInventory | int,
     order: int,
-    chunk_size: int | None = None,
-    exclude_separator: bool = False,
 ) -> NgramCountTable:
-    """Count all width-``order`` windows of the stream.
-
-    ``total`` is the window count, stream length - order + 1 (less any
-    separator-spanning windows when ``exclude_separator``). With
-    ``chunk_size`` the stream is counted in overlapping chunks and merged;
-    each window is counted exactly once, so the result is identical to a
-    single pass regardless of the chunking.
-    """
+    """Count all width-``order`` windows (stream length - order + 1 of them)
+    of a stream whose symbols must lie in 0..symbol_count-1."""
+    if isinstance(inventory, SymbolInventory):
+        inventory = inventory.symbol_count
+    base = int(inventory)
     if order < 1:
         raise ValueError("order must be >= 1")
-    sym = _symbols_of(stream)
+    if base < 2:
+        raise ValueError("symbol count must be >= 2")
+    if order * math.log2(base) > _CODE_BITS:
+        raise ValueError(f"order {order} over {base} symbols exceeds int64 window coding")
+    if isinstance(stream, SymbolStream):
+        stream = stream.symbols
+    sym = np.asarray(stream, dtype=np.int64)
     if sym.size < order:
-        raise ValueError(f"stream of {sym.size} symbols is shorter than order {order}")
-    sep: int | None = None
-    if exclude_separator:
-        if not isinstance(stream, SymbolStream):
-            raise ValueError("exclude_separator needs a SymbolStream")
-        sep = stream.alphabet_size - 1
-    base = _code_base(sym, order)
+        raise ValueError(f"stream of {sym.size} symbols is too short for order {order}")
+    if sym.min() < 0 or sym.max() >= base:
+        raise ValueError(f"symbol indices {sym.min()}..{sym.max()} outside 0..{base - 1}")
 
     n_windows = sym.size - order + 1
-    if chunk_size is None or chunk_size >= n_windows:
-        counts = _count_block(sym, order, base, sep)
-    else:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        counts = {}
-        # chunk i owns the windows starting in [start, start+chunk_size) and
-        # therefore reads order-1 symbols past its end
-        for start in range(0, n_windows, chunk_size):
-            stop = min(start + chunk_size, n_windows)
-            block = _count_block(sym[start : stop + order - 1], order, base, sep)
-            for key, c in block.items():
-                counts[key] = counts.get(key, 0) + c
-    return NgramCountTable(order, counts, sum(counts.values()))
+    codes = sym[:n_windows].astype(np.int64)
+    for k in range(1, order):
+        codes *= base
+        codes += sym[k : k + n_windows]
+    return NgramCountTable(order, base, *np.unique(codes, return_counts=True))
 
 
 def merge_tables(a: NgramCountTable, b: NgramCountTable) -> NgramCountTable:
-    """Pointwise sum of two same-order tables (associative, commutative)."""
-    if a.order != b.order:
-        raise ValueError("cannot merge tables of different orders")
-    counts = dict(a.counts)
-    for key, c in b.counts.items():
-        counts[key] = counts.get(key, 0) + c
-    return NgramCountTable(a.order, counts, a.total + b.total)
-
-
-def prefix_marginal(table: NgramCountTable) -> NgramCountTable:
-    """Drop the last symbol: the order-(n-1) context counts implied by a table.
-
-    Using this as the prefix argument of ``conditional_entropy`` keeps both
-    tables normalized over the same windows.
-    """
-    if table.order < 1:
-        raise ValueError("order-0 table has no prefix")
-    counts: dict[Ngram, int] = {}
-    for key, c in table.counts.items():
-        counts[key[:-1]] = counts.get(key[:-1], 0) + c
-    return NgramCountTable(table.order - 1, counts, table.total)
+    """Pointwise sum of two tables of one order and base."""
+    if (a.order, a.base) != (b.order, b.base):
+        raise ValueError("cannot merge tables of different orders or bases")
+    both = np.concatenate([a.codes, b.codes]), np.concatenate([a.counts, b.counts])
+    return NgramCountTable(a.order, a.base, *_sum_by(*both))
 
 
 def zero_order_entropy(symbol_count: int) -> float:
@@ -182,27 +119,9 @@ def zero_order_entropy(symbol_count: int) -> float:
     return math.log2(symbol_count)
 
 
-def conditional_entropy(table_n: NgramCountTable, table_prefix: NgramCountTable) -> float:
-    """Plug-in conditional entropy of the last symbol given the rest, in bits.
-
-    ``table_prefix`` must have order one less; for order 1 pass
-    ``NgramCountTable.empty_context(table_n.total)``. The conditional
-    probability of window w given its context is count(w)/prefix_count, so
-    a context the prefix table never saw is an inconsistency and raises.
-    """
-    if table_prefix.order != table_n.order - 1:
-        raise ValueError("prefix table must have order one less")
-    if not table_n.counts or not table_prefix.counts:
-        raise ValueError("empty count table")
-    h = 0.0
-    total = table_n.total
-    for key, c in table_n.counts.items():
-        context = key[:-1]
-        prefix_count = table_prefix.counts.get(context)
-        if prefix_count is None:
-            raise ValueError(f"prefix table lacks context {context!r}")
-        h -= (c / total) * math.log2(c / prefix_count)
-    return h
+def _entropy(counts: np.ndarray) -> float:
+    prob = counts / counts.sum()
+    return float(-(prob * np.log2(prob)).sum())
 
 
 @dataclass(frozen=True)
@@ -242,61 +161,33 @@ def entropy_profile(
     stream: SymbolStream | np.ndarray,
     inventory: SymbolInventory | int,
     max_order: int = 3,
-    exclude_separator: bool = False,
 ) -> EntropyProfile:
     """Estimate conditional entropies of orders 0..max_order from one stream.
 
-    All orders are marginals of the single top-order window distribution:
-    H_n = H(last n symbols of a window) - H(the n-1 before the target).
-    Sharing one window set is what makes the order monotonicity exact; the
-    estimates differ from separately-counted tables only at the first
-    max_order-1 stream positions.
+    All orders are marginals of one top-order table: H_n = H(last n symbols
+    of a window) - H(the n-1 before the target). They differ from
+    separately-counted tables only at the first max_order-1 positions.
 
     A warning is emitted for orders the stream cannot adequately sample
     (tokens < L**order); those entries are also flagged in ``adequate``.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    symbol_count = (
-        inventory.symbol_count if isinstance(inventory, SymbolInventory) else int(inventory)
-    )
-    if symbol_count < 2:
-        raise ValueError("symbol count must be >= 2")
-    sym = _symbols_of(stream)
-    tokens = sym.size
-    if tokens < max_order:
-        raise ValueError(f"stream of {tokens} symbols is too short for order {max_order}")
-    if max_order * math.log2(symbol_count) > _CODE_BITS:
-        raise ValueError("max_order too large for int64 window coding")
-
-    if exclude_separator:
-        if not isinstance(stream, SymbolStream):
-            raise ValueError("exclude_separator needs a SymbolStream")
-        keep = ~np.any(
-            sliding_window_view(sym, max_order) == stream.alphabet_size - 1, axis=1
-        )
-        codes = _window_codes(sym, max_order, symbol_count)[keep]
-    else:
-        codes = _window_codes(sym, max_order, symbol_count)
-    if codes.size == 0:
-        raise ValueError("no usable windows in stream")
-
-    def marginal_entropy(values: np.ndarray) -> float:
-        _, cnt = np.unique(values, return_counts=True)
-        prob = cnt / cnt.sum()
-        return float(-(prob * np.log2(prob)).sum())
+    table = count_ngrams(stream, inventory, max_order)
+    symbol_count, windows = table.base, table.total
+    tokens = windows + max_order - 1
 
     entropies = [zero_order_entropy(symbol_count)]
     for order in range(1, max_order + 1):
-        tail = codes % (symbol_count**order)  # last `order` symbols of each window
-        joint = marginal_entropy(tail)
-        context = marginal_entropy(tail // symbol_count) if order > 1 else 0.0
+        tail, tail_counts = _sum_by(table.codes % symbol_count**order, table.counts)
+        joint = _entropy(tail_counts)
+        context = 0.0
+        if order > 1:  # the order-1 symbols before the target
+            context = _entropy(_sum_by(tail // symbol_count, tail_counts)[1])
         entropies.append(max(joint - context, 0.0))
 
-    window_counts = np.array([tokens] + [int(codes.size)] * max_order)
-    adequate = np.array(
-        [tokens >= symbol_count**order for order in range(max_order + 1)]
-    )
+    window_counts = np.array([tokens] + [windows] * max_order)
+    adequate = np.array([tokens >= symbol_count**order for order in range(max_order + 1)])
     if not adequate.all():
         first_bad = int(np.argmin(adequate))
         warnings.warn(
@@ -304,42 +195,5 @@ def entropy_profile(
             f">= {first_bad} over {symbol_count} symbols",
             stacklevel=2,
         )
-    return EntropyProfile(
-        np.array(entropies), window_counts, adequate, tokens, symbol_count
-    )
-
-
-def mutual_information_digram(
-    table_2: NgramCountTable,
-    table_1: NgramCountTable,
-    method: str = "direct",
-) -> float:
-    """Mutual information between adjacent symbols, in bits.
-
-    ``direct`` computes sum p(x,y) log2[p(x,y)/(p(x)p(y))] with both
-    marginals taken from the digram table itself, which is non-negative by
-    construction. ``identity`` evaluates H_1 - H_2 from the two passed
-    tables; it agrees with ``direct`` up to O(1/T) boundary effects and may
-    come out a hair negative on an independent stream.
-    """
-    if table_2.order != 2 or table_1.order != 1:
-        raise ValueError("expected a digram table and a unigram table")
-    if method == "identity":
-        h1 = conditional_entropy(table_1, NgramCountTable.empty_context(table_1.total))
-        h2 = conditional_entropy(table_2, table_1)
-        return h1 - h2
-    if method != "direct":
-        raise ValueError("method must be 'direct' or 'identity'")
-    if not table_2.counts:
-        raise ValueError("empty count table")
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    for (x, y), c in table_2.counts.items():
-        left[x] = left.get(x, 0) + c
-        right[y] = right.get(y, 0) + c
-    total = table_2.total
-    info = 0.0
-    for (x, y), c in table_2.counts.items():
-        p_xy = c / total
-        info += p_xy * math.log2(p_xy * total * total / (left[x] * right[y]))
-    return info
+    return EntropyProfile(np.array(entropies), window_counts, adequate, tokens,
+                          symbol_count)

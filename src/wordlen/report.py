@@ -94,7 +94,10 @@ def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> A
 
 
 def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
-    """Parse a histogram CSV produced by ``histogram_artifact``."""
+    """Parse a histogram CSV produced by ``histogram_artifact``.
+
+    The data rows must list each length 1..N exactly once.
+    """
     label = ""
     counts: dict[int, int] = {}
     overflow = 0
@@ -112,14 +115,19 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
             continue
         if first == "overflow":
             overflow = int(rest)
-        else:
-            counts[int(first)] = int(rest)
+            continue
+        length = int(first)
+        if length < 1 or length in counts:
+            problem = "is listed twice" if length in counts else "is not a length >= 1"
+            raise ValueError(f"{path}: length {length} {problem}")
+        counts[length] = int(rest)
     if not counts:
         raise ValueError(f"{path}: no histogram rows found")
     max_length = max(counts)
-    vec = np.zeros(max_length, dtype=np.int64)
-    for length, c in counts.items():
-        vec[length - 1] = c
+    missing = [n for n in range(1, max_length + 1) if n not in counts]
+    if missing:
+        raise ValueError(f"{path}: length {missing[0]} has no row")
+    vec = np.array([counts[n] for n in range(1, max_length + 1)], dtype=np.int64)
     return WordLengthHistogram(vec, max_length, overflow, label=label)
 
 

@@ -1,14 +1,28 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wordlen
 from wordlen.cli import main
 from wordlen.report import read_histogram_csv
+
+SRC = str(Path(wordlen.__file__).resolve().parents[1])
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's ``wordlen``."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          text=True, env=env, check=False)
 
 
 def parse_csv(path):
@@ -227,6 +241,14 @@ class TestImpliedCommand:
         assert run(["implied"]) == 1
         assert "histogram" in capsys.readouterr().err
 
+    def test_bad_histogram_file_fails_in_one_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("length,count\n1,5\n2,7\n2,1\noverflow,0\n", encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "implied", "--histogram", bad)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"wordlen implied: {bad}: length 2 is listed twice"]
+        assert proc.stdout == ""
+
     def test_csv_json_agree(self, reference_style_wordlist, tmp_path):
         out_csv, out_json = tmp_path / "i.csv", tmp_path / "i.json"
         run(["implied", reference_style_wordlist, "--max-length", "4", "--out", out_csv])
@@ -303,3 +325,26 @@ class TestInventoryOption:
         wl.write_text("a\n", encoding="utf-8")
         assert run(["histogram", wl, "--inventory", "klingon"]) == 1
         assert "neither" in capsys.readouterr().err
+
+
+class TestHistogramReader:
+    @pytest.mark.parametrize("rows, problem", [
+        # a length-0 row used to land in the last cell, replacing the length-4 count
+        (["1,5", "2,7", "4,1", "0,3"], "length 0 is not a length >= 1"),
+        # a repeated length used to overwrite the earlier row
+        (["1,5", "2,7", "2,1"], "length 2 is listed twice"),
+        (["1,5", "2,7", "4,1"], "length 3 has no row"),
+    ])
+    def test_rows_must_list_each_length_once(self, tmp_path, rows, problem):
+        path = tmp_path / "h.csv"
+        path.write_text("\n".join(["length,count", *rows, "overflow,0"]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"h.csv: {problem}"):
+            read_histogram_csv(path)
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python("-c", "import sys, wordlen.cli; print(sorted("
+                            "m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

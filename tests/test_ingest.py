@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordlen import ingest
 from wordlen.ingest import (
     DistinctWordSet,
     SymbolStream,
@@ -51,6 +52,18 @@ class TestWordlist:
     def test_separator_inside_word_rejected(self):
         with pytest.raises(TokenizationError, match="separator"):
             load_wordlist(["two words"], ENGLISH, strict=True)
+
+    def test_one_tokenizer_per_list(self, monkeypatch):
+        built = []
+
+        class CountingTokenizer(ingest._Tokenizer):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_Tokenizer", CountingTokenizer)
+        ws = load_wordlist(["cat", "naïve", "dog", "cat"], ENGLISH)
+        assert len(ws) == 2 and len(built) == 1
 
     def test_accepts_text_blob(self):
         ws = load_wordlist("a\nb\nc\n", ENGLISH)

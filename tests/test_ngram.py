@@ -1,19 +1,20 @@
 import math
+from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordlen.ingest import load_corpus
 from wordlen.inventory import preset_inventory
 from wordlen.ngram import (
     EntropyProfile,
     NgramCountTable,
-    conditional_entropy,
     count_ngrams,
     entropy_profile,
     merge_tables,
-    mutual_information_digram,
-    prefix_marginal,
     zero_order_entropy,
 )
 
@@ -32,129 +33,148 @@ def plain_entropy(counts):
     return -sum(c / total * math.log2(c / total) for c in counts)
 
 
+def counter_plugin_entropy(stream, order, top_order):
+    """Plug-in H_order over the width-``top_order`` windows, counted as tuples."""
+    windows = [tuple(stream[i:i + top_order]) for i in range(len(stream) - top_order + 1)]
+    joint = Counter(w[top_order - order:] for w in windows)
+    context = Counter(w[top_order - order:-1] for w in windows)
+    return -sum(c / len(windows) * math.log2(c / context[w[:-1]]) for w, c in joint.items())
+
+
+@st.composite
+def coded_streams(draw):
+    """(stream, symbol count, order) with L in 2..6, order 1..3, up to 500 symbols."""
+    symbols = draw(st.integers(2, 6))
+    order = draw(st.integers(1, 3))
+    stream = draw(st.lists(st.integers(0, symbols - 1), min_size=order, max_size=500))
+    return np.array(stream, dtype=np.int64), symbols, order
+
+
 class TestCounting:
     def test_hand_counted_digrams(self):
-        table = count_ngrams(np.array([0, 1, 0]), 2)
-        assert table.counts == {(0, 1): 1, (1, 0): 1}
-        assert table.total == 2
+        # windows 01 10 02 20 01, coded base 3: 1 3 2 6 1
+        table = count_ngrams(np.array([0, 1, 0, 2, 0, 1]), 3, 2)
+        assert (table.order, table.base) == (2, 3)
+        assert table.codes.tolist() == [1, 2, 3, 6]
+        assert table.counts.tolist() == [2, 1, 1, 1]
+        assert table.counts.dtype == np.int64
+        assert table.total == 5
 
     def test_window_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(1, 5))
             stream = rng.integers(0, 4, size=int(rng.integers(n, 200)))
-            assert count_ngrams(stream, n).total == stream.size - n + 1
+            assert count_ngrams(stream, 4, n).total == stream.size - n + 1
 
     def test_uniform_unigram_counts_within_sampling_bounds(self):
         rng = np.random.default_rng(11)
-        table = count_ngrams(rng.integers(0, 4, size=10**6), 1)
+        table = count_ngrams(rng.integers(0, 4, size=10**6), 4, 1)
+        assert table.codes.tolist() == [0, 1, 2, 3]
         sigma = math.sqrt(10**6 * 0.25 * 0.75)
-        for symbol in range(4):
-            assert abs(table.counts[(symbol,)] - 250_000) <= 3 * sigma
+        assert np.all(np.abs(table.counts - 250_000) <= 3 * sigma)
 
     def test_stream_too_short(self):
-        with pytest.raises(ValueError, match="shorter"):
-            count_ngrams(np.array([0, 1]), 3)
+        with pytest.raises(ValueError, match="too short"):
+            count_ngrams(np.array([0, 1]), 2, 3)
         with pytest.raises(ValueError):
-            count_ngrams(np.array([0, 1]), 0)
+            count_ngrams(np.array([0, 1]), 2, 0)
 
     def test_accepts_symbol_stream(self):
-        stream = load_corpus("abab", preset_inventory("english"))
-        assert count_ngrams(stream, 2).total == 3
+        inv = preset_inventory("english")
+        stream = load_corpus("abab", inv)
+        assert count_ngrams(stream, inv, 2).total == 3
+        assert count_ngrams(stream, inv.symbol_count, 2).total == 3
 
-    def test_chunked_equals_single_pass(self):
-        rng = np.random.default_rng(99)
-        for _ in range(30):
-            n = int(rng.integers(1, 5))
-            stream = rng.integers(0, 5, size=int(rng.integers(n + 1, 400)))
-            whole = count_ngrams(stream, n)
-            chunked = count_ngrams(stream, n, chunk_size=int(rng.integers(1, 60)))
-            assert whole == chunked
-
-    def test_exclude_separator_windows(self):
-        stream = load_corpus("ab ab", preset_inventory("english"))
-        table = count_ngrams(stream, 2, exclude_separator=True)
-        assert table.counts == {(0, 1): 2}
-        assert table.total == 2
-        with pytest.raises(ValueError, match="SymbolStream"):
-            count_ngrams(np.array([0, 1, 2]), 2, exclude_separator=True)
+    @settings(max_examples=100, deadline=None)
+    @given(coded_streams(), st.data())
+    def test_chunked_equals_single_pass(self, drawn, data):
+        stream, symbols, order = drawn
+        n_windows = stream.size - order + 1
+        inner = st.integers(1, n_windows - 1) if n_windows > 1 else st.nothing()
+        cuts = sorted(data.draw(st.sets(inner)))
+        bounds = [0, *cuts, n_windows]
+        # each slice owns the windows starting in [start, stop) and so reads
+        # order-1 symbols past its end
+        tables = [count_ngrams(stream[start:stop + order - 1], symbols, order)
+                  for start, stop in zip(bounds, bounds[1:])]
+        merged = reduce(merge_tables, tables)
+        whole = count_ngrams(stream, symbols, order)
+        assert np.array_equal(merged.codes, whole.codes)
+        assert np.array_equal(merged.counts, whole.counts)
 
     def test_code_width_guard(self):
         with pytest.raises(ValueError, match="coding"):
-            count_ngrams(np.arange(27).repeat(3), 40)
+            count_ngrams(np.arange(27).repeat(3), 27, 40)
+        with pytest.raises(ValueError, match="coding"):
+            entropy_profile(np.arange(27).repeat(3), 27, 14)
+
+    def test_symbol_range_checked(self):
+        # an out-of-range symbol used to miscode windows into H_1 = 1.298
+        with pytest.raises(ValueError, match=r"symbol indices 0\.\.5 outside 0\.\.2"):
+            entropy_profile(np.array([0, 5, 1, 5, 2, 5, 0, 5] * 100), 3, 2)
+        with pytest.raises(ValueError, match=r"symbol indices -1\.\.2 outside 0\.\.2"):
+            entropy_profile(np.array([0, -1, 1, 2] * 100), 3, 2)
+        # symbol 2 = base would code the window 02 as 10
+        with pytest.raises(ValueError, match=r"symbol indices 0\.\.2 outside 0\.\.1"):
+            count_ngrams(np.array([0, 0, 2]), 2, 2)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
-            NgramCountTable(2, {(0, 1): 2}, 3)
+            NgramCountTable(2, 3, [1, 1], [1, 1])  # repeated code
         with pytest.raises(ValueError):
-            NgramCountTable(2, {(0,): 2}, 2)
+            NgramCountTable(2, 3, [2, 1], [1, 1])  # unsorted
         with pytest.raises(ValueError):
-            NgramCountTable(1, {(0,): 0}, 0)
+            NgramCountTable(2, 3, [1, 2], [1, 0])  # zero count
+        with pytest.raises(ValueError):
+            NgramCountTable(2, 3, [1, 9], [1, 1])  # 9 needs three base-3 digits
+        with pytest.raises(ValueError):
+            NgramCountTable(2, 3, [1, 2], [1])
+        with pytest.raises(ValueError):
+            NgramCountTable(0, 3, [], [])
 
 
 class TestMerge:
     def test_pointwise_sum(self):
-        a = count_ngrams(np.array([0, 1, 0]), 2)
-        b = count_ngrams(np.array([1, 1, 0]), 2)
+        a = count_ngrams(np.array([0, 1, 0]), 2, 2)
+        b = count_ngrams(np.array([1, 1, 0]), 2, 2)
         merged = merge_tables(a, b)
-        assert merged.counts == {(0, 1): 1, (1, 0): 2, (1, 1): 1}
+        assert merged.codes.tolist() == [1, 2, 3]  # 01 10 11
+        assert merged.counts.tolist() == [1, 2, 1]
         assert merged.total == 4
-        assert merge_tables(b, a) == merged
+        swapped = merge_tables(b, a)
+        assert np.array_equal(swapped.codes, merged.codes)
+        assert np.array_equal(swapped.counts, merged.counts)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             merge_tables(
-                count_ngrams(np.array([0, 1]), 1), count_ngrams(np.array([0, 1]), 2)
+                count_ngrams(np.array([0, 1]), 2, 1), count_ngrams(np.array([0, 1]), 2, 2)
             )
-
-    def test_prefix_marginal(self):
-        table = count_ngrams(np.array([0, 1, 0, 1, 1]), 2)
-        marg = prefix_marginal(table)
-        assert marg.order == 1
-        assert marg.counts == {(0,): 2, (1,): 2}
-        assert marg.total == table.total
         with pytest.raises(ValueError):
-            prefix_marginal(NgramCountTable.empty_context(3))
+            merge_tables(
+                count_ngrams(np.array([0, 1]), 2, 1), count_ngrams(np.array([0, 1]), 3, 1)
+            )
 
 
 class TestConditionalEntropy:
     def test_periodic_stream_is_deterministic(self):
-        stream = np.array([0, 1] * 500)
-        digrams = count_ngrams(stream, 2)
-        # consistent prefix counts: exactly zero
-        h = conditional_entropy(digrams, prefix_marginal(digrams))
-        assert h == pytest.approx(0.0, abs=1e-12)
-        # separately-counted prefix table: zero up to the O(1/T) boundary
-        # effect (the last symbol has no continuation)
-        h = conditional_entropy(digrams, count_ngrams(stream, 1))
-        assert h == pytest.approx(0.0, abs=2e-3)
+        profile = entropy_profile(np.array([0, 1] * 500), 2, 2)
+        assert profile.entropies[2] == 0.0
+        assert profile.entropies[1] == pytest.approx(1.0, abs=1e-5)
 
     def test_uniform_first_order(self):
         rng = np.random.default_rng(2)
         stream = rng.integers(0, 4, size=10**6)
-        table = count_ngrams(stream, 1)
-        h = conditional_entropy(table, NgramCountTable.empty_context(table.total))
+        h = entropy_profile(stream, 4, 1).entropies[1]
         assert h == pytest.approx(2.0, abs=0.01)
         # plug-in first-order entropy equals the plain entropy of the counts
-        assert h == pytest.approx(plain_entropy(table.counts.values()), rel=1e-12)
+        counts = count_ngrams(stream, 4, 1).counts.tolist()
+        assert h == pytest.approx(plain_entropy(counts), rel=1e-12)
 
     def test_markov_second_order(self):
-        stream = markov_stream(10**6, seed=42)
-        h = conditional_entropy(count_ngrams(stream, 2), count_ngrams(stream, 1))
-        assert h == pytest.approx(MARKOV_RATE, abs=0.005)
-
-    def test_order_mismatch_and_empty(self):
-        uni = count_ngrams(np.array([0, 1, 0]), 1)
-        with pytest.raises(ValueError, match="order"):
-            conditional_entropy(uni, uni)
-        with pytest.raises(ValueError, match="empty"):
-            conditional_entropy(NgramCountTable(1, {}, 0), NgramCountTable.empty_context(0))
-
-    def test_inconsistent_prefix_rejected(self):
-        digrams = count_ngrams(np.array([0, 1, 0, 1]), 2)
-        alien = count_ngrams(np.array([2, 2, 2]), 1)
-        with pytest.raises(ValueError, match="lacks context"):
-            conditional_entropy(digrams, alien)
+        profile = entropy_profile(markov_stream(10**6, seed=42), 2, 2)
+        assert profile.entropies[2] == pytest.approx(MARKOV_RATE, abs=0.005)
 
     def test_zero_order_entropy(self):
         assert zero_order_entropy(27) == pytest.approx(4.75, abs=0.005)
@@ -169,6 +189,16 @@ class TestProfile:
     def test_order_zero_is_alphabet_entropy(self):
         profile = entropy_profile(np.array([0, 1, 2, 0, 1]), 27, 2)
         assert profile.entropies[0] == pytest.approx(math.log2(27))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(coded_streams())
+    def test_matches_counter_reference(self, drawn):
+        stream, symbols, order = drawn
+        profile = entropy_profile(stream, symbols, order)
+        for n in range(1, order + 1):
+            want = counter_plugin_entropy(stream.tolist(), n, order)
+            assert profile.entropies[n] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_small_corpus_flags_high_orders(self):
         rng = np.random.default_rng(8)
@@ -205,9 +235,13 @@ class TestProfile:
     def test_close_to_pairwise_tables_on_long_streams(self):
         stream = markov_stream(200_000, seed=5)
         profile = entropy_profile(stream, 2, 2)
-        pairwise = conditional_entropy(
-            count_ngrams(stream, 2), count_ngrams(stream, 1)
-        )
+        # digrams and unigrams counted separately, each over its own windows
+        symbols = stream.tolist()
+        unigrams = Counter(symbols)
+        digrams = Counter(zip(symbols, symbols[1:]))
+        total = len(symbols) - 1
+        pairwise = -sum(c / total * math.log2(c / unigrams[x])
+                        for (x, _), c in digrams.items())
         assert profile.entropies[2] == pytest.approx(pairwise, abs=1e-4)
 
     def test_estimates_sharpen_with_sample_size(self):
@@ -222,14 +256,6 @@ class TestProfile:
         profile = entropy_profile(stream, 2, 2)
         assert profile.sample_tokens == 5
         assert list(profile.window_counts) == [5, 4, 4]
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_exclude_separator_profile(self):
-        inv = preset_inventory("english")
-        stream = load_corpus("ab ab ab ab", inv)
-        profile = entropy_profile(stream, inv, 2, exclude_separator=True)
-        # only "ab" windows survive, so the successor of a is deterministic
-        assert profile.entropies[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_too_short_stream(self):
         with pytest.raises(ValueError, match="too short"):
@@ -250,43 +276,41 @@ class TestProfile:
 
 
 class TestMutualInformation:
+    """Adjacent-symbol mutual information, read as H_1 - H_2 of a profile."""
+
+    @staticmethod
+    def information(stream, symbols):
+        h = entropy_profile(stream, symbols, 2).entropies
+        return h[1] - h[2]
+
     def test_independent_stream_near_zero(self):
         rng = np.random.default_rng(31)
         stream = rng.integers(0, 4, size=200_000)
-        info = mutual_information_digram(
-            count_ngrams(stream, 2), count_ngrams(stream, 1)
-        )
-        assert info == pytest.approx(0.0, abs=0.001)
+        assert self.information(stream, 4) == pytest.approx(0.0, abs=0.001)
 
     def test_periodic_stream_carries_full_information(self):
         stream = np.array([0, 1] * 2000)
-        t2, t1 = count_ngrams(stream, 2), count_ngrams(stream, 1)
-        h1 = conditional_entropy(t1, NgramCountTable.empty_context(t1.total))
-        assert mutual_information_digram(t2, t1) == pytest.approx(h1, abs=1e-3)
+        h1 = entropy_profile(stream, 2, 1).entropies[1]
+        assert self.information(stream, 2) == pytest.approx(h1, abs=1e-3)
 
     def test_markov_information(self):
+        # the symmetric chain is uniform, so H_1 = 1 bit
         stream = markov_stream(10**6, seed=9)
-        t2, t1 = count_ngrams(stream, 2), count_ngrams(stream, 1)
-        h1 = conditional_entropy(t1, NgramCountTable.empty_context(t1.total))
-        assert mutual_information_digram(t2, t1) == pytest.approx(
-            h1 - MARKOV_RATE, abs=0.005
-        )
+        assert self.information(stream, 2) == pytest.approx(1.0 - MARKOV_RATE, abs=0.005)
 
     def test_direct_never_negative_and_matches_identity(self):
+        # direct: sum p(x,y) log2[p(x,y)/(p(x)p(y))] with both marginals taken
+        # from the digram counts; identity: H_1 - H_2 of the profile
         rng = np.random.default_rng(40)
         for _ in range(30):
-            stream = rng.integers(0, 3, size=int(rng.integers(50, 2000)))
-            t2, t1 = count_ngrams(stream, 2), count_ngrams(stream, 1)
-            direct = mutual_information_digram(t2, t1, method="direct")
-            ident = mutual_information_digram(t2, t1, method="identity")
+            stream = rng.integers(0, 3, size=int(rng.integers(50, 2000))).tolist()
+            digrams = Counter(zip(stream, stream[1:]))
+            left, right = Counter(), Counter()
+            for (x, y), c in digrams.items():
+                left[x] += c
+                right[y] += c
+            total = len(stream) - 1
+            direct = sum(c / total * math.log2(c * total / (left[x] * right[y]))
+                         for (x, y), c in digrams.items())
             assert direct >= 0.0
-            assert ident >= -1e-6 or abs(direct - ident) < 0.05
-            assert abs(direct - ident) < 0.05
-
-    def test_argument_checks(self):
-        t2 = count_ngrams(np.array([0, 1, 0]), 2)
-        t1 = count_ngrams(np.array([0, 1, 0]), 1)
-        with pytest.raises(ValueError):
-            mutual_information_digram(t1, t1)
-        with pytest.raises(ValueError):
-            mutual_information_digram(t2, t1, method="sideways")
+            assert self.information(np.array(stream), 3) == pytest.approx(direct, abs=1e-12)
