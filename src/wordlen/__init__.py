@@ -30,8 +30,6 @@ from .ingest import (
     load_corpus,
     load_wordlist,
     render_stream,
-    render_word,
-    tokenize_word,
     word_length_histogram,
 )
 from .inventory import (

@@ -43,7 +43,9 @@ def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte order mark, which would otherwise
+    # read as part of the first word
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -150,10 +150,18 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or "letters" not in raw:
         raise InventoryError(f"{path}: expected an object with a 'letters' list")
+    letters, separator = raw["letters"], raw.get("separator", " ")
+    case_fold = raw.get("case_fold", True)
+    if not isinstance(letters, (list, str)) or not all(isinstance(s, str) for s in letters):
+        raise InventoryError(f"{path}: 'letters' must be a list of strings")
+    if not isinstance(separator, str):
+        raise InventoryError(f"{path}: 'separator' must be a string")
+    if not isinstance(case_fold, bool):  # bool("false") would be True
+        raise InventoryError(f"{path}: 'case_fold' must be true or false")
     return build_inventory(
-        raw["letters"],
-        raw.get("separator", " "),
-        bool(raw.get("case_fold", True)),
+        letters,
+        separator,
+        case_fold,
         name=str(raw.get("name", Path(path).stem)),
     )
 

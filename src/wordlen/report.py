@@ -101,7 +101,8 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     label = ""
     counts: dict[int, int] = {}
     overflow = 0
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    text = Path(path).read_text(encoding="utf-8")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -113,20 +114,26 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
         first, _, rest = line.partition(",")
         if first == "length":
             continue
-        if first == "overflow":
-            overflow = int(rest)
+        try:
+            length = None if first == "overflow" else int(first)
+            count = int(rest)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: cannot read {line!r}") from None
+        if count < 0:
+            raise ValueError(f"{path}: line {line_no}: negative count {count}")
+        if length is None:
+            overflow = count
             continue
-        length = int(first)
         if length < 1 or length in counts:
             problem = "is listed twice" if length in counts else "is not a length >= 1"
             raise ValueError(f"{path}: length {length} {problem}")
-        counts[length] = int(rest)
+        counts[length] = count
     if not counts:
         raise ValueError(f"{path}: no histogram rows found")
     max_length = max(counts)
-    missing = [n for n in range(1, max_length + 1) if n not in counts]
-    if missing:
-        raise ValueError(f"{path}: length {missing[0]} has no row")
+    if len(counts) != max_length:
+        gap = next(n for n in range(1, max_length + 1) if n not in counts)
+        raise ValueError(f"{path}: length {gap} has no row")
     vec = np.array([counts[n] for n in range(1, max_length + 1)], dtype=np.int64)
     return WordLengthHistogram(vec, max_length, overflow, label=label)
 

@@ -77,6 +77,14 @@ class TestHistogramCommand:
         assert run(["histogram", bad, "--strict"]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_byte_order_mark_is_not_part_of_first_word(self, tmp_path, strict):
+        wl = tmp_path / "bom.txt"
+        wl.write_bytes(b"\xef\xbb\xbfcat\ndog\n")
+        out = tmp_path / "h.csv"
+        assert run(["histogram", wl, "--out", out, *strict]) == 0
+        assert read_histogram_csv(out).count(3) == 2
+
     def test_undecodable_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"caf\xe9\n")  # not valid UTF-8
@@ -175,6 +183,15 @@ class TestEntropyCommand:
             assert (row["adequate"] == "true") == entry["adequate"]
             # documented rendering rule: entropies print at 2 decimals
             assert row["entropy_bits"] == f"{entry['entropy_bits']:.2f}"
+
+
+    def test_byte_order_mark_is_not_a_symbol(self, tmp_path):
+        corpus = tmp_path / "bom.txt"
+        corpus.write_bytes(b"\xef\xbb\xbf" + b"ab\n" * 300)
+        out = tmp_path / "p.json"
+        assert run(["entropy", corpus, "--strict", "--max-order", "1",
+                    "--format", "json", "--out", out]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["sample_tokens"] == 899
 
 
 class TestPredictCommand:
@@ -320,6 +337,19 @@ class TestInventoryOption:
         _, _, rows = parse_csv(out)
         assert {r["length"]: r["count"] for r in rows}["2"] == "3"
 
+    @pytest.mark.parametrize("spec, problem", [
+        ({"letters": ["a", 1]}, "'letters' must be a list of strings"),
+        ({"letters": ["a", "b"], "separator": 5}, "'separator' must be a string"),
+    ])
+    def test_mistyped_inventory_file_fails_in_one_line(self, tmp_path, spec, problem):
+        inv = tmp_path / "inv.json"
+        inv.write_text(json.dumps(spec), encoding="utf-8")
+        wl = tmp_path / "wl.txt"
+        wl.write_text("ab\n", encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "histogram", wl, "--inventory", inv)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"wordlen histogram: {inv}: {problem}"]
+
     def test_unknown_inventory_fails(self, tmp_path, capsys):
         wl = tmp_path / "wl.txt"
         wl.write_text("a\n", encoding="utf-8")
@@ -341,6 +371,32 @@ class TestHistogramReader:
                         encoding="utf-8")
         with pytest.raises(ValueError, match=f"h.csv: {problem}"):
             read_histogram_csv(path)
+
+    @pytest.mark.parametrize("rows, problem", [
+        (["1,5", "x,3"], "line 3: cannot read 'x,3'"),
+        (["1,5", "2,7x"], "line 3: cannot read '2,7x'"),
+        (["1,5", "2,-3"], "line 3: negative count -3"),
+        (["1,5", "overflow,-1"], "line 3: negative count -1"),
+    ])
+    def test_bad_rows_name_path_and_line(self, tmp_path, rows, problem):
+        path = tmp_path / "h.csv"
+        path.write_text("\n".join(["length,count", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"h.csv: {problem}"):
+            read_histogram_csv(path)
+
+    def test_far_length_reports_first_gap_in_bounded_memory(self, tmp_path):
+        # listing every absent length up to 10**9 would need gigabytes; the
+        # child's address space is capped so that such a reader fails fast
+        path = tmp_path / "h.csv"
+        path.write_text("length,count\n1,5\n1000000000,1\n", encoding="utf-8")
+        proc = run_python("-c", (
+            "import resource, sys; cap = 1 << 30; "
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+            "from wordlen.report import read_histogram_csv\n"
+            "try: read_histogram_csv(sys.argv[1])\n"
+            "except ValueError as err: print(err)"), path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{path}: length 2 has no row"
 
 
 def test_import_does_not_load_scipy():

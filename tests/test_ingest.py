@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordlen import ingest
@@ -15,29 +15,55 @@ from wordlen.ingest import (
     load_corpus,
     load_wordlist,
     render_stream,
-    render_word,
-    tokenize_word,
     word_length_histogram,
 )
-from wordlen.inventory import preset_inventory
+from wordlen.inventory import build_inventory, preset_inventory
 
 ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
+# "abc" splits greedily as ab + c; only backtracking would find a + bc
+OVERLAPPING = build_inventory(["a", "ab", "bc"])
 
 
-def words_of(wordset, inv):
-    return {render_word(w, inv) for w in wordset.words}
+def greedy_reference(text, inv, strict):
+    """Stream of ``text`` by a position-by-position longest match."""
+    text = text.lower() if inv.case_fold else text
+    by_length = sorted(enumerate(inv.symbols), key=lambda s: -len(s[1]))
+    sep, out, pos = inv.separator_index, [], 0
+    while pos < len(text):
+        idx, sym = next(((i, s) for i, s in by_length if text.startswith(s, pos)),
+                        (None, text[pos]))
+        if idx is None and strict and not sym.isspace():
+            raise TokenizationError(f"symbol {sym!r} not in inventory",
+                                    line=text.count("\n", 0, pos) + 1)
+        idx = sep if idx is None else idx
+        if idx != sep or (out and out[-1] != sep):
+            out.append(idx)
+        pos += len(sym)
+    return out[:-1] if out and out[-1] == sep else out
+
+
+def count_pattern_builds(monkeypatch):
+    built = []
+    real = ingest._symbol_pattern
+
+    def counting(symbols):
+        built.append(1)
+        return real(symbols)
+
+    monkeypatch.setattr(ingest, "_symbol_pattern", counting)
+    return built
 
 
 class TestWordlist:
     def test_duplicates_collapse(self):
         ws = load_wordlist(["a", "an", "an", "the"], ENGLISH)
         assert len(ws) == 3
-        assert words_of(ws, ENGLISH) == {"a", "an", "the"}
+        assert set(ws.words) == {"a", "an", "the"}
 
     def test_case_folds_and_comments_skip(self):
         ws = load_wordlist(["The", "# not a word", "", "  the  "], ENGLISH)
-        assert words_of(ws, ENGLISH) == {"the"}
+        assert set(ws.words) == {"the"}
 
     def test_strict_mode_reports_line_and_symbol(self):
         with pytest.raises(TokenizationError, match="ï") as err:
@@ -47,23 +73,18 @@ class TestWordlist:
 
     def test_lenient_mode_skips_bad_words(self):
         ws = load_wordlist(["cat", "naïve", "dog"], ENGLISH)
-        assert words_of(ws, ENGLISH) == {"cat", "dog"}
+        assert set(ws.words) == {"cat", "dog"}
 
     def test_separator_inside_word_rejected(self):
         with pytest.raises(TokenizationError, match="separator"):
             load_wordlist(["two words"], ENGLISH, strict=True)
 
     def test_one_tokenizer_per_list(self, monkeypatch):
-        built = []
-
-        class CountingTokenizer(ingest._Tokenizer):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(ingest, "_Tokenizer", CountingTokenizer)
+        built = count_pattern_builds(monkeypatch)
         ws = load_wordlist(["cat", "naïve", "dog", "cat"], ENGLISH)
         assert len(ws) == 2 and len(built) == 1
+        load_corpus("cat naïve dog\ncat", ENGLISH)
+        assert len(built) == 2
 
     def test_accepts_text_blob(self):
         ws = load_wordlist("a\nb\nc\n", ENGLISH)
@@ -85,14 +106,25 @@ class TestWordlist:
 
     def test_multigraph_word_length(self):
         # length is counted in inventory symbols, not code points
-        assert tokenize_word("chacha", SWAHILI) == (2, 0, 2, 0)
         ws = load_wordlist(["chacha"], SWAHILI)
+        assert ws.words == {"chacha": 4}
         hist = word_length_histogram(ws, 10)
         assert hist.count(4) == 1
 
     def test_zero_length_word_invalid(self):
         with pytest.raises(ValueError):
-            DistinctWordSet(frozenset({()}))
+            DistinctWordSet({"": 0})
+
+    def test_greedy_match_does_not_backtrack(self):
+        assert load_wordlist(["ab", "a", "bc", "abc"], OVERLAPPING).words == {
+            "ab": 1, "a": 1, "bc": 1}
+        with pytest.raises(TokenizationError, match="line 4: symbol 'c'"):
+            load_wordlist(["ab", "a", "bc", "abc"], OVERLAPPING, strict=True)
+
+    def test_multi_character_separator_inside_word(self):
+        inv = build_inventory(["a", "b"], separator="||")
+        with pytest.raises(TokenizationError, match="symbol '|' not allowed"):
+            load_wordlist(["a||b"], inv, strict=True)
 
 
 class TestCorpus:
@@ -130,6 +162,32 @@ class TestCorpus:
     def test_greedy_longest_match_in_corpus(self):
         stream = load_corpus("chai", SWAHILI)
         assert list(stream.symbols) == [2, 0, 8]  # ch, a, i
+
+    def test_strict_line_counts_characters_not_symbols(self):
+        with pytest.raises(TokenizationError, match="line 2: symbol 'x'"):
+            load_corpus("chchchchch\nx", SWAHILI, strict=True)
+
+    def test_greedy_match_does_not_backtrack(self):
+        assert list(load_corpus("abc", OVERLAPPING).symbols) == [1]  # ab; c is dropped
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_greedy_reference(self, data):
+        letters = data.draw(st.lists(st.text(alphabet="abcé", min_size=1, max_size=3),
+                                     min_size=1, max_size=6, unique=True))
+        separator = data.draw(st.sampled_from([" ", "_", "||", "-", "a_"]))
+        assume(separator not in letters)
+        inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
+        text = data.draw(st.text(alphabet="abcéA _|-.\n", max_size=40))
+        strict = data.draw(st.booleans())
+        try:
+            want = greedy_reference(text, inv, strict)
+        except TokenizationError as err:
+            with pytest.raises(TokenizationError) as got:
+                load_corpus(text, inv, strict)
+            assert str(got.value) == str(err)
+            return
+        assert load_corpus(text, inv, strict).symbols.tolist() == want
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="consecutive"):
@@ -171,7 +229,7 @@ class TestHistogram:
         assert hist.count(1) == 1 and hist.count(2) == 1 and hist.count(3) == 2
 
     def test_empty_set_all_zero(self):
-        hist = word_length_histogram(DistinctWordSet(frozenset()), 5)
+        hist = word_length_histogram(DistinctWordSet({}), 5)
         assert hist.counts.sum() == 0 and hist.overflow == 0
 
     def test_overflow_tally(self):
@@ -201,4 +259,4 @@ class TestHistogram:
 
     def test_rejects_bad_max_length(self):
         with pytest.raises(ValueError):
-            word_length_histogram(DistinctWordSet(frozenset()), 0)
+            word_length_histogram(DistinctWordSet({}), 0)

@@ -103,6 +103,19 @@ def test_inventory_file_must_have_letters(tmp_path):
         load_inventory_file(path)
 
 
+@pytest.mark.parametrize("spec", [
+    {"letters": ["a", 1]},
+    {"letters": 5},
+    {"letters": ["a", "b"], "separator": 5},
+    {"letters": ["a", "b"], "case_fold": "false"},
+])
+def test_inventory_file_types_checked(tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(InventoryError, match="bad.json: '(letters|separator|case_fold)' must"):
+        load_inventory_file(path)
+
+
 def test_resolve_inventory_prefers_presets():
     assert resolve_inventory("english").symbol_count == 27
     with pytest.raises(InventoryError, match="neither"):
