@@ -48,13 +48,13 @@ def synthetic_dictionary():
 def main():
     inv = preset_inventory("english")
     if len(sys.argv) > 1:
-        lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
+        text = open(sys.argv[1], encoding="utf-8").read()
         print(f"fitting {sys.argv[1]}")
     else:
-        lines = synthetic_dictionary()
+        text = "\n".join(synthetic_dictionary())
         print(f"fitting a synthetic dictionary generated at p = {TRUE_P}")
 
-    words = load_wordlist(lines, inv)
+    words = load_wordlist(text, inv)
     hist = word_length_histogram(words, max_length=50)
     model = fit_p(hist, inv.symbol_count)
 

@@ -26,10 +26,8 @@ from .ingest import (
     SymbolStream,
     TokenizationError,
     WordLengthHistogram,
-    concat_streams,
     load_corpus,
     load_wordlist,
-    render_stream,
     word_length_histogram,
 )
 from .inventory import (
@@ -60,7 +58,6 @@ from .lengthmodel import (
     solve_b,
     stddev_approx,
     vocab_total_approx,
-    vocab_total_exact,
 )
 from .ngram import (
     EntropyProfile,
@@ -68,15 +65,12 @@ from .ngram import (
     count_ngrams,
     entropy_profile,
     merge_tables,
-    zero_order_entropy,
 )
 from .simulate import (
     MODES,
     SimulationConfig,
     draw_word_lengths,
-    draw_words,
     empirical_length_distribution,
-    split_config,
 )
 
 __version__ = "0.1.0"

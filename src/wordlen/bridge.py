@@ -25,10 +25,12 @@ from .ingest import WordLengthHistogram
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:
     """Number of distinct strings of ``length`` symbols, 2**(N*H)."""
-    if entropy_bits < 0.0:
-        raise ValueError("entropy must be non-negative")
+    if not 0.0 <= entropy_bits < math.inf:  # also false for NaN
+        raise ValueError(f"entropy must be finite and >= 0, got {entropy_bits}")
     if length < 1:
         raise ValueError("length must be >= 1")
+    if length * entropy_bits >= 1024.0:  # 2**1024 is past the largest double
+        raise ValueError(f"2**({length} * {entropy_bits}) is too large for a double")
     return 2.0 ** (length * entropy_bits)
 
 

@@ -22,7 +22,7 @@ from .ingest import (
     load_wordlist,
     word_length_histogram,
 )
-from .inventory import PRESET_NAMES, InventoryError, resolve_inventory
+from .inventory import PRESET_NAMES, InventoryError, read_utf8, resolve_inventory
 from .ngram import entropy_profile
 
 
@@ -40,12 +40,6 @@ def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None
         )
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
-
-
-def _read_text(path: str) -> str:
-    # utf-8-sig drops a leading byte order mark, which would otherwise
-    # read as part of the first word
-    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_histogram(args) -> int:
     inv = resolve_inventory(args.inventory)
-    words = load_wordlist(_read_text(args.wordlist), inv, strict=args.strict,
+    words = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict,
                           source_name=Path(args.wordlist).stem)
     hist = word_length_histogram(words, args.max_length)
     report.write_artifact(report.histogram_artifact(hist), args.format, args.out)
@@ -128,14 +122,12 @@ def _cmd_histogram(args) -> int:
 
 def _cmd_fit(args) -> int:
     inv = resolve_inventory(args.inventory)
-    words = load_wordlist(_read_text(args.wordlist), inv, strict=args.strict,
+    words = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict,
                           source_name=Path(args.wordlist).stem)
     hist = word_length_histogram(words, args.max_length)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
     artifact = report.fit_artifact(
-        hist, inv.symbol_count,
-        label=args.label or Path(args.wordlist).stem,
-        scale_a=args.scale_a, model=model,
+        hist, model, label=args.label or Path(args.wordlist).stem, scale_a=args.scale_a
     )
     report.write_artifact(artifact, args.format, args.out)
     if args.curve_out:
@@ -147,7 +139,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_entropy(args) -> int:
     inv = resolve_inventory(args.inventory)
-    stream = load_corpus(_read_text(args.corpus), inv, strict=args.strict)
+    stream = load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
     profile = entropy_profile(stream, inv, args.max_order)
     artifact = report.profile_artifact(profile, label=args.label or Path(args.corpus).stem)
     report.write_artifact(artifact, args.format, args.out)
@@ -178,7 +170,7 @@ def _cmd_implied(args) -> int:
         hist = report.read_histogram_csv(args.histogram)
     elif args.wordlist:
         inv = resolve_inventory(args.inventory)
-        words = load_wordlist(_read_text(args.wordlist), inv, strict=args.strict,
+        words = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict,
                               source_name=Path(args.wordlist).stem)
         hist = word_length_histogram(words, args.max_length)
     else:

@@ -13,7 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -116,31 +116,24 @@ def _symbol_pattern(symbols: Iterable[str]) -> re.Pattern[str]:
     return re.compile("|".join(map(re.escape, ordered)) + "|.", re.DOTALL)
 
 
-def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
-    if isinstance(source, str):
-        yield from source.splitlines()
-    else:
-        for line in source:
-            yield line.rstrip("\n")
-
-
 def load_wordlist(
-    source: Iterable[str] | str,
+    text: str,
     inv: SymbolInventory,
     strict: bool = False,
     source_name: str = "wordlist",
 ) -> DistinctWordSet:
     """Read a one-word-per-line list into its distinct words and their lengths.
 
-    Lines are stripped and NFC-normalized (lowercased when the inventory
-    folds case); blank lines and ``#`` comments are skipped; duplicates
-    collapse. A word using a symbol outside the inventory aborts with its
-    line number in strict mode and is skipped otherwise.
+    Lines end where ``str.splitlines`` breaks them. They are stripped and
+    NFC-normalized (lowercased when the inventory folds case); blank lines
+    and ``#`` comments are skipped; duplicates collapse. A word using a
+    symbol outside the inventory aborts with its line number in strict mode
+    and is skipped otherwise.
     """
     words: dict[str, int] = {}
     letters = set(inv.letters)
     pattern = _symbol_pattern(inv.letters)
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -178,7 +171,8 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     if strict:
         for k in np.flatnonzero(is_unknown):
             if not tokens[k].isspace():
-                line = text.count("\n", 0, sum(map(len, tokens[:k]))) + 1
+                # lines counted as load_wordlist counts them
+                line = len(text[: sum(map(len, tokens[:k])) + 1].splitlines())
                 raise TokenizationError(f"symbol {tokens[k]!r} not in inventory", line=line)
     sep = inv.separator_index
     codes[is_unknown] = sep
@@ -190,35 +184,6 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     if codes.size and codes[-1] == sep:
         codes = codes[:-1]
     return SymbolStream(codes, inv.symbol_count)
-
-
-def render_stream(stream: SymbolStream, inv: SymbolInventory) -> str:
-    """Inverse of load_corpus: reloading the result gives the same stream
-    (for inventories where greedy matching is unambiguous)."""
-    return "".join(inv.symbols[i] for i in stream.symbols)
-
-
-def concat_streams(streams: Iterable[SymbolStream]) -> SymbolStream:
-    """Join corpus chunks loaded separately into one stream.
-
-    One separator is placed between consecutive non-empty chunks, so
-    splitting a text at word boundaries and loading the pieces gives back
-    the stream of the whole text. Chunks split mid-word cannot be repaired
-    here; split on separators.
-    """
-    parts = [s for s in streams if s.token_count]
-    if not parts:
-        return SymbolStream(np.array([], dtype=np.int64), 2)
-    size = parts[0].alphabet_size
-    if any(s.alphabet_size != size for s in parts):
-        raise ValueError("streams use different inventories")
-    sep = np.array([size - 1], dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    for i, part in enumerate(parts):
-        if i:
-            pieces.append(sep)
-        pieces.append(part.symbols)
-    return SymbolStream(np.concatenate(pieces), size)
 
 
 def word_length_histogram(

@@ -23,6 +23,22 @@ class InventoryError(ValueError):
     """Raised for malformed inventory descriptions."""
 
 
+def read_utf8(path: str | Path) -> str:
+    """Text of a UTF-8 input file, without a leading byte order mark.
+
+    Every file the package reads comes through here, so a bad byte is
+    reported with the file's path and its offset.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        offset = err.start + len(data) - len(err.object)  # a dropped BOM shifts err.start
+        raise ValueError(
+            f"{path}: not UTF-8: cannot decode byte 0x{data[offset]:02x} at offset {offset}"
+        ) from None
+
+
 def _normalize(symbol: str, case_fold: bool) -> str:
     symbol = unicodedata.normalize("NFC", symbol)
     # str.lower, not str.casefold: folding would expand "ß" to "ss" and
@@ -147,7 +163,7 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
 
         {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true}
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(read_utf8(path))
     if not isinstance(raw, dict) or "letters" not in raw:
         raise InventoryError(f"{path}: expected an object with a 'letters' list")
     letters, separator = raw["letters"], raw.get("separator", " ")

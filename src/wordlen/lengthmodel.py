@@ -33,6 +33,10 @@ from .ingest import WordLengthHistogram
 
 DEFAULT_SCALE_A = 7.45
 EXPECTED_FLOOR = 1e-6
+# fit_p's search: the p range, its grid step, and the refinement tolerance
+P_BOUNDS = (0.60, 0.99)
+GRID_STEP = 0.005
+REFINE_TOL = 1e-5
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -97,29 +101,18 @@ def chi_square_p_value(stat: float, df: int) -> float:
 
 @dataclass(frozen=True)
 class FittedLengthModel:
-    """Fit result: the letter probability plus goodness-of-fit numbers.
-
-    ``scale_a``/``exponent_b`` belong to the closed-form vocabulary size
-    and stay None until solved against an observed vocabulary.
-    """
+    """Fit result: the letter probability plus goodness-of-fit numbers."""
 
     symbols: int
     p: float
-    max_length: int
     chi_square: float
     df: int
     p_value: float
-    scale_a: float | None = None
-    exponent_b: float | None = None
 
     def __post_init__(self) -> None:
         _check_domain(self.symbols, self.p)
         if self.chi_square < 0.0 or self.df < 1:
             raise ValueError("invalid fit statistics")
-        if self.scale_a is not None and self.scale_a <= 0.0:
-            raise ValueError("scale_a must be positive")
-        if self.exponent_b is not None and self.exponent_b <= 0.0:
-            raise ValueError("exponent_b must be positive")
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
@@ -142,20 +135,16 @@ def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
 
 
 def fit_p(
-    hist: WordLengthHistogram,
-    symbols: int,
-    p_bounds: tuple[float, float] = (0.60, 0.99),
-    grid_step: float = 0.005,
-    refine_tol: float = 1e-5,
-    trim_tail: bool = False,
+    hist: WordLengthHistogram, symbols: int, trim_tail: bool = False
 ) -> FittedLengthModel:
     """Fit the letter probability to an observed length histogram.
 
     Minimizes chi-square between the histogram and the model counts over a
-    fixed p grid, then refines around the best grid point by golden-section
-    search; both stages are deterministic. With ``trim_tail`` the cells past
-    the last nonzero observed length are dropped from the objective (and
-    from the degrees of freedom).
+    fixed p grid (``P_BOUNDS`` in ``GRID_STEP`` steps), then refines around
+    the best grid point by golden-section search; both stages are
+    deterministic. With ``trim_tail`` the cells past the last nonzero
+    observed length are dropped from the objective (and from the degrees
+    of freedom).
 
     Degrees of freedom are (cells - 2): one fitted parameter plus one
     normalization.
@@ -172,8 +161,8 @@ def fit_p(
     def objective(p: float) -> float:
         return chi_square_stat(obs, model_histogram(symbols, p, cells))
 
-    lo, hi = p_bounds
-    grid = np.arange(lo, hi + grid_step / 2, grid_step)
+    lo, hi = P_BOUNDS
+    grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     values = [objective(p) for p in grid]
     best = int(np.argmin(values))
     if best == 0 or best == len(grid) - 1:
@@ -181,25 +170,10 @@ def fit_p(
             f"chi-square minimum sits at the p={grid[best]:.3f} search edge; "
             "no interior minimum bracketed"
         )
-    p_star = _golden_minimize(objective, grid[best - 1], grid[best + 1], refine_tol)
+    p_star = _golden_minimize(objective, grid[best - 1], grid[best + 1], REFINE_TOL)
     stat = objective(p_star)
     df = cells - 2
-    return FittedLengthModel(
-        symbols=symbols,
-        p=p_star,
-        max_length=hist.max_length,
-        chi_square=stat,
-        df=df,
-        p_value=chi_square_p_value(stat, df),
-    )
-
-
-def vocab_total_exact(symbols: int, p: float, max_length: int) -> float:
-    """Total modeled vocabulary: the sum of model counts over 1..max_length.
-
-    This is also the normalizing denominator of the model's mean.
-    """
-    return float(model_histogram(symbols, p, max_length).sum())
+    return FittedLengthModel(symbols, p_star, stat, df, chi_square_p_value(stat, df))
 
 
 def mean_exact(symbols: int, p: float, max_length: int) -> float:
@@ -315,10 +289,7 @@ def observed_mean(hist: WordLengthHistogram) -> float:
 
 def observed_stddev(hist: WordLengthHistogram) -> float:
     """Standard deviation of the observed histogram (overflow excluded)."""
-    total = int(hist.counts.sum())
-    if total == 0:
-        raise ValueError("empty histogram")
+    mean = observed_mean(hist)
     lengths = np.arange(1, hist.max_length + 1, dtype=float)
-    mean = float((lengths * hist.counts).sum() / total)
-    var = float((((lengths - mean) ** 2) * hist.counts).sum() / total)
+    var = float((((lengths - mean) ** 2) * hist.counts).sum() / int(hist.counts.sum()))
     return math.sqrt(var)

@@ -112,13 +112,6 @@ def merge_tables(a: NgramCountTable, b: NgramCountTable) -> NgramCountTable:
     return NgramCountTable(a.order, a.base, *_sum_by(*both))
 
 
-def zero_order_entropy(symbol_count: int) -> float:
-    """log2(L): the entropy of a uniform draw from the full inventory."""
-    if symbol_count < 2:
-        raise ValueError("symbol count must be >= 2")
-    return math.log2(symbol_count)
-
-
 def _entropy(counts: np.ndarray) -> float:
     prob = counts / counts.sum()
     return float(-(prob * np.log2(prob)).sum())
@@ -177,7 +170,7 @@ def entropy_profile(
     symbol_count, windows = table.base, table.total
     tokens = windows + max_order - 1
 
-    entropies = [zero_order_entropy(symbol_count)]
+    entropies = [math.log2(symbol_count)]
     for order in range(1, max_order + 1):
         tail, tail_counts = _sum_by(table.codes % symbol_count**order, table.counts)
         joint = _entropy(tail_counts)

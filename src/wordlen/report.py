@@ -22,6 +22,7 @@ import numpy as np
 
 from . import bridge, lengthmodel
 from .ingest import WordLengthHistogram
+from .inventory import read_utf8
 from .ngram import EntropyProfile
 from .simulate import SimulationConfig
 
@@ -101,7 +102,7 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     label = ""
     counts: dict[int, int] = {}
     overflow = 0
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -140,11 +141,9 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
 
 def fit_artifact(
     hist: WordLengthHistogram,
-    symbols: int,
+    model: lengthmodel.FittedLengthModel,
     label: str = "",
     scale_a: float = lengthmodel.DEFAULT_SCALE_A,
-    trim_tail: bool = False,
-    model: lengthmodel.FittedLengthModel | None = None,
 ) -> Artifact:
     """Fit report: letter probability, goodness of fit, and the closed-form
     mean/sigma/vocabulary columns next to their observed counterparts.
@@ -153,9 +152,7 @@ def fit_artifact(
     The vocabulary exponent is solved from the observed vocabulary size and
     is omitted when the vocabulary is too small to exceed ``scale_a``.
     """
-    if model is None:
-        model = lengthmodel.fit_p(hist, symbols, trim_tail=trim_tail)
-    p = model.p
+    symbols, p = model.symbols, model.p
     mean_obs = lengthmodel.observed_mean(hist)
     mean_model = lengthmodel.mean_exact(symbols, p, hist.max_length)
     mean_app = lengthmodel.mean_approx(p)
@@ -253,11 +250,15 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
 
 def read_profile_json(path: str | Path) -> list[tuple[int, float]]:
     """(order, entropy) pairs from a saved entropy-profile JSON."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = json.loads(read_utf8(path))
     try:
-        return [(int(o["order"]), float(o["entropy_bits"])) for o in raw["orders"]]
+        pairs = [(int(o["order"]), float(o["entropy_bits"])) for o in raw["orders"]]
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: not an entropy profile file") from err
+    for order, bits in pairs:
+        if not 0.0 <= bits < math.inf:  # also false for NaN
+            raise ValueError(f"{path}: order {order}: entropy must be finite and >= 0, got {bits}")
+    return pairs
 
 
 def predictions_artifact(predictions, label: str = "") -> Artifact:

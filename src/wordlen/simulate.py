@@ -22,7 +22,7 @@ output rather than reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,25 +82,6 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
     return np.concatenate(lengths)[: cfg.word_target].astype(np.int64)
 
 
-def draw_words(cfg: SimulationConfig) -> list[tuple[int, ...]]:
-    """Generate concrete words: lengths from the bag process, letters uniform.
-
-    The bag model carries no per-letter structure, so letters are drawn
-    uniformly over the symbols-1 letter indices once the lengths are fixed.
-    """
-    # letters come from a spawned child stream so they stay independent of
-    # the letter/separator draws that produced the lengths
-    letter_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    lengths = draw_word_lengths(cfg)
-    flat = letter_rng.integers(0, cfg.symbols - 1, size=int(lengths.sum()))
-    words = []
-    pos = 0
-    for n in lengths:
-        words.append(tuple(int(x) for x in flat[pos : pos + n]))
-        pos += n
-    return words
-
-
 def empirical_length_distribution(
     lengths, max_length: int | None = None
 ) -> WordLengthHistogram:
@@ -119,24 +100,3 @@ def empirical_length_distribution(
     overflow = int((arr > top).sum())
     return WordLengthHistogram(counts, top, overflow, label="simulated")
 
-
-def split_config(cfg: SimulationConfig, parts: int) -> list[SimulationConfig]:
-    """Split a run into independent sub-runs with derived seeds.
-
-    Word targets are divided as evenly as possible and each part gets a
-    child seed spawned deterministically from the master seed, so the
-    concatenation of the parts' outputs (in part order) does not depend on
-    how or whether they run in parallel.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if parts > cfg.word_target:
-        raise ValueError("more parts than words")
-    children = np.random.SeedSequence(cfg.seed).spawn(parts)
-    base, extra = divmod(cfg.word_target, parts)
-    out = []
-    for i, child in enumerate(children):
-        target = base + (1 if i < extra else 0)
-        seed = int(child.generate_state(1)[0])
-        out.append(replace(cfg, word_target=target, seed=seed))
-    return out

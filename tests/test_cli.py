@@ -87,9 +87,20 @@ class TestHistogramCommand:
 
     def test_undecodable_input_fails(self, tmp_path, capsys):
         bad = tmp_path / "latin1.txt"
-        bad.write_bytes(b"caf\xe9\n")  # not valid UTF-8
-        assert run(["histogram", bad]) == 1
-        assert "decode" in capsys.readouterr().err
+        # not valid UTF-8; the offset counts a leading byte order mark
+        for data, offset in ((b"caf\xe9\n", 3), (b"\xef\xbb\xbfcat\ncaf\xe9\n", 10)):
+            bad.write_bytes(data)
+            assert run(["histogram", bad]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"wordlen histogram: {bad}: not UTF-8: cannot decode byte 0xe9 at offset {offset}"]
+
+    @pytest.mark.parametrize("command", ["histogram", "entropy"])
+    def test_strict_line_numbers_agree_across_loaders(self, tmp_path, capsys, command):
+        # \x0b ends a line for str.splitlines, so the bad symbol is on line 3
+        bad = tmp_path / "vt.txt"
+        bad.write_text("cat\x0bdog\nnaïve\n", encoding="utf-8")
+        assert run([command, bad, "--strict"]) == 1
+        assert "line 3: symbol 'ï'" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -216,6 +227,35 @@ class TestPredictCommand:
         assert run(["predict"]) == 1
         assert "either" in capsys.readouterr().err
 
+    def test_byte_order_mark_profile(self, tmp_path, capsys):
+        profile = tmp_path / "p.json"
+        body = json.dumps({"orders": [{"order": 2, "entropy_bits": 3.56}]})
+        profile.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert run(["predict", "--profile", profile, "--orders", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",139")
+
+    @pytest.mark.parametrize("bits, length, problem", [
+        ("5", "300", "2**(300 * 5.0) is too large for a double"),
+        ("inf", "2", "entropy must be finite and >= 0, got inf"),
+        ("nan", "2", "entropy must be finite and >= 0, got nan"),
+    ], ids=["overflow", "inf", "nan"])
+    def test_bad_entropy_fails_in_one_line(self, bits, length, problem):
+        proc = run_python("-m", "wordlen.cli", "predict", "--entropy-bits", bits,
+                          "--length", length)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"wordlen predict: {problem}"]
+
+    @pytest.mark.parametrize("bits, shown", [("-1", "-1.0"), ("NaN", "nan")],
+                             ids=["negative", "nan"])
+    def test_bad_profile_entry_names_path_and_order(self, tmp_path, bits, shown):
+        profile = tmp_path / "p.json"
+        profile.write_text('{"orders": [{"order": 2, "entropy_bits": 3.5}, '
+                           f'{{"order": 3, "entropy_bits": {bits}}}]}}', encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"wordlen predict: {profile}: order 3: entropy must be finite and >= 0, got {shown}"]
+
     def test_zero_entropy_predicts_one_string(self, capsys):
         assert run(["predict", "--entropy-bits", "0", "--length", "9"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("9,0.00,1.0,1")
@@ -257,6 +297,14 @@ class TestImpliedCommand:
     def test_requires_an_input(self, capsys):
         assert run(["implied"]) == 1
         assert "histogram" in capsys.readouterr().err
+
+    def test_byte_order_mark_histogram(self, tmp_path):
+        hist = tmp_path / "h.csv"
+        hist.write_bytes(b"\xef\xbb\xbflength,count\n1,5\n2,7\noverflow,0\n")
+        out = tmp_path / "imp.csv"
+        assert run(["implied", "--histogram", hist, "--out", out]) == 0
+        _, _, rows = parse_csv(out)
+        assert [r["word_count"] for r in rows] == ["5", "7"]
 
     def test_bad_histogram_file_fails_in_one_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -336,6 +384,15 @@ class TestInventoryOption:
         assert run(["histogram", wl, "--inventory", inv, "--out", out]) == 0
         _, _, rows = parse_csv(out)
         assert {r["length"]: r["count"] for r in rows}["2"] == "3"
+
+    def test_byte_order_mark_inventory(self, tmp_path):
+        inv = tmp_path / "inv.json"
+        inv.write_bytes(b"\xef\xbb\xbf" + json.dumps({"letters": ["a", "b"]}).encode())
+        wl = tmp_path / "wl.txt"
+        wl.write_text("ab\nba\n", encoding="utf-8")
+        out = tmp_path / "h.csv"
+        assert run(["histogram", wl, "--inventory", inv, "--strict", "--out", out]) == 0
+        assert read_histogram_csv(out).count(2) == 2
 
     @pytest.mark.parametrize("spec, problem", [
         ({"letters": ["a", 1]}, "'letters' must be a list of strings"),

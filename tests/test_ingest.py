@@ -11,10 +11,8 @@ from wordlen.ingest import (
     SymbolStream,
     TokenizationError,
     WordLengthHistogram,
-    concat_streams,
     load_corpus,
     load_wordlist,
-    render_stream,
     word_length_histogram,
 )
 from wordlen.inventory import build_inventory, preset_inventory
@@ -23,6 +21,11 @@ ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
 # "abc" splits greedily as ab + c; only backtracking would find a + bc
 OVERLAPPING = build_inventory(["a", "ab", "bc"])
+
+
+def render_stream(stream, inv):
+    """Text that loads back as ``stream`` where greedy matching is unambiguous."""
+    return "".join(inv.symbols[i] for i in stream.symbols)
 
 
 def greedy_reference(text, inv, strict):
@@ -35,7 +38,7 @@ def greedy_reference(text, inv, strict):
                         (None, text[pos]))
         if idx is None and strict and not sym.isspace():
             raise TokenizationError(f"symbol {sym!r} not in inventory",
-                                    line=text.count("\n", 0, pos) + 1)
+                                    line=len(text[: pos + 1].splitlines()))
         idx = sep if idx is None else idx
         if idx != sep or (out and out[-1] != sep):
             out.append(idx)
@@ -57,31 +60,31 @@ def count_pattern_builds(monkeypatch):
 
 class TestWordlist:
     def test_duplicates_collapse(self):
-        ws = load_wordlist(["a", "an", "an", "the"], ENGLISH)
+        ws = load_wordlist("a\nan\nan\nthe", ENGLISH)
         assert len(ws) == 3
         assert set(ws.words) == {"a", "an", "the"}
 
     def test_case_folds_and_comments_skip(self):
-        ws = load_wordlist(["The", "# not a word", "", "  the  "], ENGLISH)
+        ws = load_wordlist("The\n# not a word\n\n  the  ", ENGLISH)
         assert set(ws.words) == {"the"}
 
     def test_strict_mode_reports_line_and_symbol(self):
         with pytest.raises(TokenizationError, match="ï") as err:
-            load_wordlist(["cat", "naïve"], ENGLISH, strict=True)
+            load_wordlist("cat\nnaïve", ENGLISH, strict=True)
         assert "line 2" in str(err.value)
         assert err.value.line == 2
 
     def test_lenient_mode_skips_bad_words(self):
-        ws = load_wordlist(["cat", "naïve", "dog"], ENGLISH)
+        ws = load_wordlist("cat\nnaïve\ndog", ENGLISH)
         assert set(ws.words) == {"cat", "dog"}
 
     def test_separator_inside_word_rejected(self):
         with pytest.raises(TokenizationError, match="separator"):
-            load_wordlist(["two words"], ENGLISH, strict=True)
+            load_wordlist("two words", ENGLISH, strict=True)
 
     def test_one_tokenizer_per_list(self, monkeypatch):
         built = count_pattern_builds(monkeypatch)
-        ws = load_wordlist(["cat", "naïve", "dog", "cat"], ENGLISH)
+        ws = load_wordlist("cat\nnaïve\ndog\ncat", ENGLISH)
         assert len(ws) == 2 and len(built) == 1
         load_corpus("cat naïve dog\ncat", ENGLISH)
         assert len(built) == 2
@@ -89,6 +92,8 @@ class TestWordlist:
     def test_accepts_text_blob(self):
         ws = load_wordlist("a\nb\nc\n", ENGLISH)
         assert len(ws) == 3
+        # lines end at every str.splitlines break, so a CR-only list keeps its words
+        assert set(load_wordlist("cat\rdog\rbird\r", ENGLISH).words) == {"cat", "dog", "bird"}
 
     def test_meroitic_scale_list(self):
         # 1,396 distinct tokens built over digraph-free letters so greedy
@@ -101,12 +106,12 @@ class TestWordlist:
             for combo in itertools.product(safe, repeat=n)
         ][:1396]
         assert len(lines) == 1396
-        ws = load_wordlist(lines, inv, strict=True)
+        ws = load_wordlist("\n".join(lines), inv, strict=True)
         assert len(ws) == 1396
 
     def test_multigraph_word_length(self):
         # length is counted in inventory symbols, not code points
-        ws = load_wordlist(["chacha"], SWAHILI)
+        ws = load_wordlist("chacha", SWAHILI)
         assert ws.words == {"chacha": 4}
         hist = word_length_histogram(ws, 10)
         assert hist.count(4) == 1
@@ -116,15 +121,15 @@ class TestWordlist:
             DistinctWordSet({"": 0})
 
     def test_greedy_match_does_not_backtrack(self):
-        assert load_wordlist(["ab", "a", "bc", "abc"], OVERLAPPING).words == {
+        assert load_wordlist("ab\na\nbc\nabc", OVERLAPPING).words == {
             "ab": 1, "a": 1, "bc": 1}
         with pytest.raises(TokenizationError, match="line 4: symbol 'c'"):
-            load_wordlist(["ab", "a", "bc", "abc"], OVERLAPPING, strict=True)
+            load_wordlist("ab\na\nbc\nabc", OVERLAPPING, strict=True)
 
     def test_multi_character_separator_inside_word(self):
         inv = build_inventory(["a", "b"], separator="||")
         with pytest.raises(TokenizationError, match="symbol '|' not allowed"):
-            load_wordlist(["a||b"], inv, strict=True)
+            load_wordlist("a||b", inv, strict=True)
 
 
 class TestCorpus:
@@ -178,7 +183,7 @@ class TestCorpus:
         separator = data.draw(st.sampled_from([" ", "_", "||", "-", "a_"]))
         assume(separator not in letters)
         inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
-        text = data.draw(st.text(alphabet="abcéA _|-.\n", max_size=40))
+        text = data.draw(st.text(alphabet="abcéA _|-.\n\r\x0b", max_size=40))
         strict = data.draw(st.booleans())
         try:
             want = greedy_reference(text, inv, strict)
@@ -194,18 +199,6 @@ class TestCorpus:
             SymbolStream(np.array([0, 26, 26, 1]), 27)
         with pytest.raises(ValueError, match="index"):
             SymbolStream(np.array([0, 27]), 27)
-
-    def test_concat_streams_matches_whole_load(self):
-        whole = load_corpus("the cat sat on the mat", ENGLISH)
-        parts = [load_corpus(t, ENGLISH) for t in ("the cat", "", "sat on", "the mat")]
-        joined = concat_streams(parts)
-        assert np.array_equal(whole.symbols, joined.symbols)
-
-    def test_concat_streams_rejects_mixed_inventories(self):
-        a = load_corpus("ab", ENGLISH)
-        b = load_corpus("ab", SWAHILI)
-        with pytest.raises(ValueError, match="inventories"):
-            concat_streams([a, b])
 
     @settings(max_examples=50)
     @given(st.text(alphabet="abcz ,.!7\n", max_size=60))
@@ -224,7 +217,7 @@ class TestCorpus:
 
 class TestHistogram:
     def test_direct_counts(self):
-        ws = load_wordlist(["a", "an", "the", "cat"], ENGLISH)
+        ws = load_wordlist("a\nan\nthe\ncat", ENGLISH)
         hist = word_length_histogram(ws, 5)
         assert hist.count(1) == 1 and hist.count(2) == 1 and hist.count(3) == 2
 
@@ -233,7 +226,7 @@ class TestHistogram:
         assert hist.counts.sum() == 0 and hist.overflow == 0
 
     def test_overflow_tally(self):
-        ws = load_wordlist(["a", "abcdef"], ENGLISH)
+        ws = load_wordlist("a\nabcdef", ENGLISH)
         hist = word_length_histogram(ws, 3)
         assert hist.count(1) == 1
         assert hist.overflow == 1
@@ -245,7 +238,7 @@ class TestHistogram:
         st.integers(min_value=1, max_value=6),
     )
     def test_totals_invariant(self, lines, max_length):
-        ws = load_wordlist(lines, ENGLISH)
+        ws = load_wordlist("\n".join(lines), ENGLISH)
         hist = word_length_histogram(ws, max_length)
         assert hist.total() == len(ws)
 

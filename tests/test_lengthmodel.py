@@ -155,7 +155,6 @@ class TestFit:
         assert model.df == 48  # 50 cells, one parameter, one normalization
         assert model.chi_square >= 0.0
         assert 0.0 <= model.p_value <= 1.0
-        assert model.scale_a is None and model.exponent_b is None
 
     def test_trim_tail_reduces_df(self):
         hist = hist_from_model(27, 0.85)
@@ -178,11 +177,9 @@ class TestFit:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            lm.FittedLengthModel(27, 1.5, 50, 0.0, 48, 1.0)
+            lm.FittedLengthModel(27, 1.5, 0.0, 48, 1.0)
         with pytest.raises(ValueError):
-            lm.FittedLengthModel(27, 0.9, 50, -1.0, 48, 1.0)
-        with pytest.raises(ValueError):
-            lm.FittedLengthModel(27, 0.9, 50, 0.0, 48, 1.0, scale_a=-1.0)
+            lm.FittedLengthModel(27, 0.9, -1.0, 48, 1.0)
 
 
 class TestClosedForms:
@@ -247,17 +244,12 @@ class TestClosedForms:
 
 
 class TestVocabulary:
-    def test_exact_single_term(self):
-        assert lm.vocab_total_exact(27, 0.7, 1) == pytest.approx(27**0.7 - 1)
-
     def test_exact_against_summation_oracle(self):
+        # the modeled vocabulary is mean_exact's denominator
+        total = lm.model_histogram(27, 0.883, 50).sum()
         oracle = sum(brute_model_count(27, 0.883, k) for k in range(1, 51))
-        assert lm.vocab_total_exact(27, 0.883, 50) == pytest.approx(oracle, rel=1e-12)
-        assert lm.vocab_total_exact(27, 0.883, 50) == pytest.approx(116306.12455728532)
-
-    def test_exact_monotone_in_max_length(self):
-        totals = [lm.vocab_total_exact(27, 0.883, m) for m in range(1, 80)]
-        assert all(b >= a for a, b in zip(totals, totals[1:]))
+        assert total == pytest.approx(oracle, rel=1e-12)
+        assert total == pytest.approx(116306.12455728532)
 
     def test_approx_reference_values(self):
         english = LANGUAGE_FITS["english"]

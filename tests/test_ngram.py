@@ -15,7 +15,6 @@ from wordlen.ngram import (
     count_ngrams,
     entropy_profile,
     merge_tables,
-    zero_order_entropy,
 )
 
 # entropy rate of a two-state chain that stays put with probability 0.9
@@ -176,19 +175,15 @@ class TestConditionalEntropy:
         profile = entropy_profile(markov_stream(10**6, seed=42), 2, 2)
         assert profile.entropies[2] == pytest.approx(MARKOV_RATE, abs=0.005)
 
-    def test_zero_order_entropy(self):
-        assert zero_order_entropy(27) == pytest.approx(4.75, abs=0.005)
-        assert zero_order_entropy(32) == pytest.approx(5.00, abs=1e-12)
-        assert zero_order_entropy(2) == 1.0
-        with pytest.raises(ValueError):
-            zero_order_entropy(1)
-
 
 class TestProfile:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_order_zero_is_alphabet_entropy(self):
-        profile = entropy_profile(np.array([0, 1, 2, 0, 1]), 27, 2)
-        assert profile.entropies[0] == pytest.approx(math.log2(27))
+        # log2 L, as the reference tables print it
+        for symbols, printed in ((2, 1.0), (27, 4.75), (32, 5.0)):
+            profile = entropy_profile(np.array([0, 1, 1, 0, 1]), symbols, 2)
+            assert profile.entropies[0] == pytest.approx(math.log2(symbols), rel=1e-15)
+            assert profile.entropies[0] == pytest.approx(printed, abs=0.005)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=100, deadline=None)

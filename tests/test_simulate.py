@@ -7,9 +7,7 @@ from wordlen.lengthmodel import chi_square_p_value, chi_square_stat
 from wordlen.simulate import (
     SimulationConfig,
     draw_word_lengths,
-    draw_words,
     empirical_length_distribution,
-    split_config,
 )
 
 
@@ -77,20 +75,6 @@ class TestDrawLengths:
             SimulationConfig(0.5, 5, 10, 1, mode="maybe")
 
 
-class TestDrawWords:
-    def test_letters_are_uniform_over_the_letter_range(self):
-        words = draw_words(SimulationConfig(0.8, 5, 5000, 9))
-        flat = [x for w in words for x in w]
-        assert min(flat) >= 0 and max(flat) <= 3  # separator index never drawn
-        counts = np.bincount(flat, minlength=4)
-        assert counts.min() > 0.8 * counts.max()
-
-    def test_words_match_length_draw(self):
-        cfg = SimulationConfig(0.7, 6, 300, 21)
-        words = draw_words(cfg)
-        assert [len(w) for w in words] == list(draw_word_lengths(cfg))
-
-
 class TestEmpiricalDistribution:
     def test_hand_counts(self):
         hist = empirical_length_distribution([1, 1, 2])
@@ -117,29 +101,3 @@ class TestEmpiricalDistribution:
         with pytest.raises(ValueError):
             empirical_length_distribution([0, 1])
 
-
-class TestSplitConfig:
-    def test_targets_and_seeds(self):
-        cfg = SimulationConfig(0.8, 10, 1003, 55)
-        parts = split_config(cfg, 4)
-        assert sum(c.word_target for c in parts) == 1003
-        assert len({c.seed for c in parts}) == 4
-        assert all(c.p == 0.8 and c.symbols == 10 for c in parts)
-
-    def test_deterministic(self):
-        cfg = SimulationConfig(0.8, 10, 1000, 55)
-        again = split_config(cfg, 4)
-        assert split_config(cfg, 4) == again
-
-    def test_merged_parts_follow_the_law(self):
-        cfg = SimulationConfig(0.883, 27, 200_000, 42)
-        merged = np.concatenate([draw_word_lengths(c) for c in split_config(cfg, 8)])
-        assert merged.size == 200_000
-        assert geometric_gof_p_value(merged, 0.883) >= 0.001
-
-    def test_bad_part_counts(self):
-        cfg = SimulationConfig(0.8, 10, 10, 55)
-        with pytest.raises(ValueError):
-            split_config(cfg, 0)
-        with pytest.raises(ValueError):
-            split_config(cfg, 11)
