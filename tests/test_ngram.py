@@ -175,15 +175,24 @@ class TestConditionalEntropy:
         profile = entropy_profile(markov_stream(10**6, seed=42), 2, 2)
         assert profile.entropies[2] == pytest.approx(MARKOV_RATE, abs=0.005)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_zero_order_entropy(self):
+        # H_0 = log2 L, as the reference tables print it
+        def h0(symbols):
+            return entropy_profile(np.array([0, 1, 1, 0, 1]), symbols, 2).entropies[0]
+
+        assert h0(27) == pytest.approx(4.75, abs=0.005)
+        assert h0(32) == pytest.approx(5.00, abs=1e-12)
+        assert h0(2) == 1.0
+        with pytest.raises(ValueError):
+            entropy_profile(np.array([0, 0, 0, 0, 0]), 1, 2)
+
 
 class TestProfile:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_order_zero_is_alphabet_entropy(self):
-        # log2 L, as the reference tables print it
-        for symbols, printed in ((2, 1.0), (27, 4.75), (32, 5.0)):
-            profile = entropy_profile(np.array([0, 1, 1, 0, 1]), symbols, 2)
-            assert profile.entropies[0] == pytest.approx(math.log2(symbols), rel=1e-15)
-            assert profile.entropies[0] == pytest.approx(printed, abs=0.005)
+        profile = entropy_profile(np.array([0, 1, 2, 0, 1]), 27, 2)
+        assert profile.entropies[0] == pytest.approx(math.log2(27))
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=100, deadline=None)
