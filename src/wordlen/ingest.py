@@ -3,8 +3,9 @@
 Word lists (one word per line, ``#`` comments allowed) become their
 distinct normalised words with each word's length in symbols; corpora
 become flat streams of symbol indices with single separators between
-words. Both split text with one regex that tries the inventory's symbols
-longest first, so multi-character symbols are handled once, in one place.
+words. Both split text in one place, ``_encode``: a table maps each code
+point to its symbol code, and one regex over the multi-character symbols,
+longest first, overrides it where such a symbol starts.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class SymbolStream:
         return int(self.symbols.size)
 
     def __post_init__(self) -> None:
-        sym = np.asarray(self.symbols, dtype=np.int64)
+        sym = np.asarray(self.symbols)
+        if sym.dtype.kind not in "iu":  # keep the loader's narrow integer dtype
+            sym = sym.astype(np.int64)
         object.__setattr__(self, "symbols", sym)
         if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet_size):
             raise ValueError("symbol index outside inventory")
@@ -105,15 +107,63 @@ def _prepare(text: str, case_fold: bool) -> str:
     return text.lower() if case_fold else text
 
 
-def _symbol_pattern(symbols: Iterable[str]) -> re.Pattern[str]:
-    """One alternation of ``symbols``, longest first, then any single character.
+def _entries(text: str, case_fold: bool) -> Iterator[tuple[int, str]]:
+    """Line number and normalised word of each word-list line that holds one."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, _prepare(line, case_fold)
 
-    Alternatives are tried in order, so ``findall`` makes the greedy
-    longest match at each position and never backtracks; a character no
-    symbol starts with comes out on its own.
+
+def _encode(text: str, symbols: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``text`` into ``symbols`` by greedy longest match.
+
+    Returns one code per code point of ``text`` and a mask of the positions
+    where a token starts. A token is ``symbols[i]`` (code ``i``) or one
+    character no symbol matches (code ``len(symbols)``). A table codes every
+    code point; then one regex over the longer symbols, longest first,
+    overwrites the code at each match's start and drops the rest of the
+    match. Alternatives are tried in order without backtracking, so each
+    position takes the longest symbol that starts there.
     """
-    ordered = sorted(symbols, key=len, reverse=True)
-    return re.compile("|".join(map(re.escape, ordered)) + "|.", re.DOTALL)
+    unknown = len(symbols)
+    table = np.full(0x110000, unknown, dtype=np.min_scalar_type(unknown))
+    index = {s: i for i, s in enumerate(symbols)}
+    for sym, i in index.items():
+        if len(sym) == 1:
+            table[ord(sym)] = i
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    codes = table[points]
+    starts = np.ones(codes.size, dtype=bool)
+    multi = sorted((s for s in symbols if len(s) > 1), key=len, reverse=True)
+    if multi:
+        pattern = re.compile("|".join(map(re.escape, multi)))
+        at = np.fromiter(map(re.Match.start, pattern.finditer(text)), dtype=np.intp)
+        found = np.fromiter(map(index.__getitem__, map(re.Match.group, pattern.finditer(text))),
+                            dtype=codes.dtype, count=at.size)
+        codes[at] = found
+        lengths = np.array([len(s) for s in symbols])[found]
+        for k in range(1, len(multi[0])):
+            starts[at[lengths > k] + k] = False
+    return codes, starts
+
+
+def _word_counts(words: list[str], letters: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols and unknown characters in each word, from one pass over all of them.
+
+    The words are joined by ``"\\n"``, which no letter here contains; each
+    word's sums start at its offset, and the joins are excluded by position.
+    """
+    spans = np.fromiter(map(len, words), dtype=np.intp, count=len(words)) + 1
+    if not words:
+        return spans, spans  # both empty
+    codes, starts = _encode("\n".join(words), letters)
+    offsets = np.cumsum(spans) - spans
+    starts[offsets[1:] - 1] = False
+    unknown = starts & (codes == len(letters))
+    narrow = np.min_scalar_type(spans.max())  # no count exceeds its word's span
+    return (np.add.reduceat(starts, offsets, dtype=narrow),
+            np.add.reduceat(unknown, offsets, dtype=narrow))
 
 
 def load_wordlist(
@@ -128,26 +178,23 @@ def load_wordlist(
     NFC-normalized (lowercased when the inventory folds case); blank lines
     and ``#`` comments are skipped; duplicates collapse. A word using a
     symbol outside the inventory aborts with its line number in strict mode
-    and is skipped otherwise.
+    and is skipped otherwise. A letter containing ``"\\n"`` can never occur
+    in a line, so it takes no part in splitting words.
     """
-    words: dict[str, int] = {}
-    letters = set(inv.letters)
-    pattern = _symbol_pattern(inv.letters)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        word = _prepare(line, inv.case_fold)
-        if word in words:
-            continue
-        tokens = pattern.findall(word)
-        if letters.issuperset(tokens):
-            words[word] = len(tokens)
-        elif strict:
-            bad = next(t for t in tokens if t not in letters)
-            what = "separator" if bad == inv.separator else f"symbol {bad!r}"
-            raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
-    return DistinctWordSet(words, source_name)
+    words = list(dict.fromkeys(word for _, word in _entries(text, inv.case_fold)))
+    letters = [s for s in inv.letters if "\n" not in s]
+    sizes, unknown = _word_counts(words, letters)
+    if strict and unknown.any():
+        first = int(np.argmax(unknown > 0))
+        codes, starts = _encode(words[first], letters)
+        symbol = words[first][np.argmax(starts & (codes == len(letters)))]
+        what = "separator" if symbol == inv.separator else f"symbol {symbol!r}"
+        line_no = next(n for n, word in _entries(text, inv.case_fold) if word == words[first])
+        raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
+    return DistinctWordSet(
+        {w: n for w, n, u in zip(words, sizes.tolist(), unknown.tolist()) if not u},
+        source_name,
+    )
 
 
 def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> SymbolStream:
@@ -159,23 +206,17 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     to one and leading/trailing separators are trimmed.
     """
     text = _prepare(text, inv.case_fold)
-    # keep ``tokens`` until return: deleting it before the int64 stream is
-    # built raised peak RSS of `wordlen entropy` on a 3.3 MB Swahili corpus
-    # from 109 to 122 MB, through the allocator's reuse of the freed memory
-    tokens = _symbol_pattern(inv.symbols).findall(text)
-    index = {s: i for i, s in enumerate(inv.symbols)}
-    unknown = inv.symbol_count  # out of range for every symbol
-    codes = np.fromiter(map(index.get, tokens, repeat(unknown)),
-                        dtype=np.min_scalar_type(unknown), count=len(tokens))
-    is_unknown = codes == unknown
+    codes, starts = _encode(text, inv.symbols)
+    unknown = inv.symbol_count
     if strict:
-        for k in np.flatnonzero(is_unknown):
-            if not tokens[k].isspace():
+        for pos in np.flatnonzero(starts & (codes == unknown)):
+            if not text[pos].isspace():
                 # lines counted as load_wordlist counts them
-                line = len(text[: sum(map(len, tokens[:k])) + 1].splitlines())
-                raise TokenizationError(f"symbol {tokens[k]!r} not in inventory", line=line)
+                line = len(text[: pos + 1].splitlines())
+                raise TokenizationError(f"symbol {text[pos]!r} not in inventory", line=line)
+    codes = codes[starts]
     sep = inv.separator_index
-    codes[is_unknown] = sep
+    codes[codes == unknown] = sep
     is_sep = codes == sep
     # a separator is kept only right after a letter
     keep = ~is_sep

@@ -163,7 +163,10 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
 
         {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true}
     """
-    raw = json.loads(read_utf8(path))
+    try:
+        raw = json.loads(read_utf8(path))
+    except json.JSONDecodeError as err:
+        raise InventoryError(f"{path}: not JSON: {err}") from None
     if not isinstance(raw, dict) or "letters" not in raw:
         raise InventoryError(f"{path}: expected an object with a 'letters' list")
     letters, separator = raw["letters"], raw.get("separator", " ")

@@ -36,6 +36,8 @@ from .inventory import SymbolInventory
 
 # int64 window codes need order * log2(alphabet) to fit
 _CODE_BITS = 62
+# windows counted per slice
+_SLICE_WINDOWS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,18 +92,28 @@ def count_ngrams(
         raise ValueError(f"order {order} over {base} symbols exceeds int64 window coding")
     if isinstance(stream, SymbolStream):
         stream = stream.symbols
-    sym = np.asarray(stream, dtype=np.int64)
+    sym = np.asarray(stream)
     if sym.size < order:
         raise ValueError(f"stream of {sym.size} symbols is too short for order {order}")
     if sym.min() < 0 or sym.max() >= base:
         raise ValueError(f"symbol indices {sym.min()}..{sym.max()} outside 0..{base - 1}")
 
+    # windows are coded one slice at a time, in the narrowest dtype that
+    # holds every code, so memory stays near the stream's own width and each
+    # np.unique sorts narrow keys; the slice tables are summed once
+    sym = sym.astype(np.min_scalar_type(base - 1), copy=False)
+    width = np.min_scalar_type(base**order - 1)
     n_windows = sym.size - order + 1
-    codes = sym[:n_windows].astype(np.int64)
-    for k in range(1, order):
-        codes *= base
-        codes += sym[k : k + n_windows]
-    return NgramCountTable(order, base, *np.unique(codes, return_counts=True))
+    slices = []
+    for lo in range(0, n_windows, _SLICE_WINDOWS):
+        hi = min(lo + _SLICE_WINDOWS, n_windows)
+        codes = sym[lo:hi].astype(width)
+        for k in range(1, order):
+            codes *= base
+            codes += sym[lo + k : hi + k]
+        slices.append(np.unique(codes, return_counts=True))
+    codes, counts = (np.concatenate(parts) for parts in zip(*slices))
+    return NgramCountTable(order, base, *_sum_by(codes, counts))
 
 
 def merge_tables(a: NgramCountTable, b: NgramCountTable) -> NgramCountTable:

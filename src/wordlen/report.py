@@ -250,10 +250,13 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
 
 def read_profile_json(path: str | Path) -> list[tuple[int, float]]:
     """(order, entropy) pairs from a saved entropy-profile JSON."""
-    raw = json.loads(read_utf8(path))
+    try:
+        raw = json.loads(read_utf8(path))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not JSON: {err}") from None
     try:
         pairs = [(int(o["order"]), float(o["entropy_bits"])) for o in raw["orders"]]
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: not an entropy profile file") from err
     for order, bits in pairs:
         if not 0.0 <= bits < math.inf:  # also false for NaN

@@ -29,6 +29,8 @@ import numpy as np
 from .ingest import WordLengthHistogram
 
 MODES = ("forced_first_letter", "reject_empty")
+# Bernoulli trials drawn per block
+_BLOCK_TRIALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,33 +55,32 @@ class SimulationConfig:
 def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
     """Generate ``word_target`` word lengths from the bag process.
 
-    The generator draws blocks of letter/separator Bernoulli trials and
-    reads word lengths off the runs between separators, so the length law
-    is emergent rather than assumed. Identical configs (seed included)
-    produce identical output.
+    The generator draws fixed blocks of letter/separator Bernoulli trials
+    and reads word lengths off the runs between separators, so the length
+    law is emergent rather than assumed. ``Generator.random`` yields the same
+    doubles however its draws are cut, so the block size changes memory use,
+    not the output; identical configs (seed included) produce identical output.
     """
     rng = np.random.default_rng(cfg.seed)
     lengths: list[np.ndarray] = []
     produced = 0
     carry = 0  # letters of a word left unfinished by the previous block
     while produced < cfg.word_target:
-        need = cfg.word_target - produced
-        block_size = max(4096, int(need * 1.1 / (1.0 - cfg.p)) + 16)
-        is_letter = rng.random(block_size) < cfg.p
+        is_letter = rng.random(_BLOCK_TRIALS) < cfg.p
         sep_positions = np.flatnonzero(~is_letter)
         if sep_positions.size == 0:
-            carry += block_size
+            carry += _BLOCK_TRIALS
             continue
         runs = np.diff(np.concatenate(([-1], sep_positions))) - 1
         runs[0] += carry
-        carry = block_size - int(sep_positions[-1]) - 1
+        carry = _BLOCK_TRIALS - int(sep_positions[-1]) - 1
         if cfg.mode == "forced_first_letter":
             block_lengths = runs + 1
         else:
             block_lengths = runs[runs > 0]
         lengths.append(block_lengths)
         produced += block_lengths.size
-    return np.concatenate(lengths)[: cfg.word_target].astype(np.int64)
+    return np.concatenate(lengths)[: cfg.word_target].astype(np.int64, copy=False)
 
 
 def empirical_length_distribution(

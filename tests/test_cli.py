@@ -256,6 +256,17 @@ class TestPredictCommand:
         assert proc.stderr.splitlines() == [
             f"wordlen predict: {profile}: order 3: entropy must be finite and >= 0, got {shown}"]
 
+    @pytest.mark.parametrize("body, problem", [
+        ('{"orders": [', "not JSON: Expecting value: line 1 column 13 (char 12)"),
+        ('{"orders": [{"order": "x", "entropy_bits": 3.5}]}', "not an entropy profile file"),
+    ], ids=["truncated", "non-integer-order"])
+    def test_unreadable_profile_names_path(self, tmp_path, body, problem):
+        profile = tmp_path / "p.json"
+        profile.write_text(body, encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"wordlen predict: {profile}: {problem}"]
+
     def test_zero_entropy_predicts_one_string(self, capsys):
         assert run(["predict", "--entropy-bits", "0", "--length", "9"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("9,0.00,1.0,1")
@@ -406,6 +417,16 @@ class TestInventoryOption:
         proc = run_python("-m", "wordlen.cli", "histogram", wl, "--inventory", inv)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"wordlen histogram: {inv}: {problem}"]
+
+    def test_truncated_inventory_file_names_path(self, tmp_path):
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"letters": ["a",', encoding="utf-8")
+        wl = tmp_path / "wl.txt"
+        wl.write_text("ab\n", encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "histogram", wl, "--inventory", inv)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"wordlen histogram: {inv}: not JSON: Expecting value: line 1 column 18 (char 17)"]
 
     def test_unknown_inventory_fails(self, tmp_path, capsys):
         wl = tmp_path / "wl.txt"

@@ -16,6 +16,7 @@ from wordlen.ingest import (
     word_length_histogram,
 )
 from wordlen.inventory import build_inventory, preset_inventory
+from wordlen.ngram import entropy_profile
 
 ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
@@ -46,15 +47,15 @@ def greedy_reference(text, inv, strict):
     return out[:-1] if out and out[-1] == sep else out
 
 
-def count_pattern_builds(monkeypatch):
+def count_table_builds(monkeypatch):
     built = []
-    real = ingest._symbol_pattern
+    real = ingest._encode
 
-    def counting(symbols):
+    def counting(text, symbols):
         built.append(1)
-        return real(symbols)
+        return real(text, symbols)
 
-    monkeypatch.setattr(ingest, "_symbol_pattern", counting)
+    monkeypatch.setattr(ingest, "_encode", counting)
     return built
 
 
@@ -83,7 +84,8 @@ class TestWordlist:
             load_wordlist("two words", ENGLISH, strict=True)
 
     def test_one_tokenizer_per_list(self, monkeypatch):
-        built = count_pattern_builds(monkeypatch)
+        # each loader builds its code-point lookup table once per call
+        built = count_table_builds(monkeypatch)
         ws = load_wordlist("cat\nnaïve\ndog\ncat", ENGLISH)
         assert len(ws) == 2 and len(built) == 1
         load_corpus("cat naïve dog\ncat", ENGLISH)
@@ -125,6 +127,11 @@ class TestWordlist:
             "ab": 1, "a": 1, "bc": 1}
         with pytest.raises(TokenizationError, match="line 4: symbol 'c'"):
             load_wordlist("ab\na\nbc\nabc", OVERLAPPING, strict=True)
+
+    def test_letter_with_line_break_never_joins_two_words(self):
+        inv = build_inventory(["a", "b", "a\nb"])
+        assert load_wordlist("a\nb", inv, strict=True).words == {"a": 1, "b": 1}
+        assert load_corpus("a\nb", inv).symbols.tolist() == [2]
 
     def test_multi_character_separator_inside_word(self):
         inv = build_inventory(["a", "b"], separator="||")
@@ -178,12 +185,12 @@ class TestCorpus:
     @settings(max_examples=200)
     @given(st.data())
     def test_matches_greedy_reference(self, data):
-        letters = data.draw(st.lists(st.text(alphabet="abcé", min_size=1, max_size=3),
+        letters = data.draw(st.lists(st.text(alphabet="abcé𝔞", min_size=1, max_size=3),
                                      min_size=1, max_size=6, unique=True))
         separator = data.draw(st.sampled_from([" ", "_", "||", "-", "a_"]))
         assume(separator not in letters)
         inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
-        text = data.draw(st.text(alphabet="abcéA _|-.\n\r\x0b", max_size=40))
+        text = data.draw(st.text(alphabet="abcé𝔞A _|-.\n\r\x0b", max_size=40))
         strict = data.draw(st.booleans())
         try:
             want = greedy_reference(text, inv, strict)
@@ -193,6 +200,13 @@ class TestCorpus:
             assert str(got.value) == str(err)
             return
         assert load_corpus(text, inv, strict).symbols.tolist() == want
+
+    def test_preset_stream_stays_narrow(self):
+        stream = load_corpus("the cat sat on the mat " * 40, ENGLISH)
+        assert stream.symbols.dtype == np.uint8
+        profile = entropy_profile(stream, ENGLISH, 2)
+        wide = entropy_profile(stream.symbols.astype(np.int64), ENGLISH, 2)
+        assert np.array_equal(profile.entropies, wide.entropies)
 
     def test_stream_validation(self):
         with pytest.raises(ValueError, match="consecutive"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordlen import ngram
 from wordlen.ingest import load_corpus
 from wordlen.inventory import preset_inventory
 from wordlen.ngram import (
@@ -101,6 +102,30 @@ class TestCounting:
         whole = count_ngrams(stream, symbols, order)
         assert np.array_equal(merged.codes, whole.codes)
         assert np.array_equal(merged.counts, whole.counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_slice_length_does_not_change_table(self, data):
+        symbols = data.draw(st.integers(2, 30))
+        order = data.draw(st.integers(1, 4))
+        stream = np.array(data.draw(st.lists(st.integers(0, symbols - 1),
+                                             min_size=order, max_size=300)))
+        whole = count_ngrams(stream, symbols, order)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ngram, "_SLICE_WINDOWS", data.draw(st.integers(1, stream.size + 1)))
+            sliced = count_ngrams(stream, symbols, order)
+        assert np.array_equal(sliced.codes, whole.codes)
+        assert np.array_equal(sliced.counts, whole.counts)
+
+    @pytest.mark.parametrize("symbols, order", [(27, 3), (25, 4), (27, 12)])
+    def test_wide_codes_match_python_integers(self, symbols, order):
+        # codes need 16, 32 and 64 bits here
+        stream = np.random.default_rng(order).integers(0, symbols, 2000)
+        want = Counter(sum(int(s) * symbols ** (order - 1 - k)
+                           for k, s in enumerate(stream[i:i + order]))
+                       for i in range(stream.size - order + 1))
+        table = count_ngrams(stream.astype(np.uint8), symbols, order)
+        assert dict(zip(table.codes.tolist(), table.counts.tolist())) == want
 
     def test_code_width_guard(self):
         with pytest.raises(ValueError, match="coding"):

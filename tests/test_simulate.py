@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wordlen import simulate
 from wordlen.lengthmodel import chi_square_p_value, chi_square_stat
 from wordlen.simulate import (
     SimulationConfig,
@@ -100,4 +101,14 @@ class TestEmpiricalDistribution:
             empirical_length_distribution([])
         with pytest.raises(ValueError):
             empirical_length_distribution([0, 1])
+
+
+@pytest.mark.parametrize("mode", ["forced_first_letter", "reject_empty"])
+@pytest.mark.parametrize("p", [0.5, 0.8807, 0.99])
+def test_lengths_do_not_depend_on_block_size(monkeypatch, mode, p):
+    cfg = SimulationConfig(p, 27, 500, 5, mode)
+    want = draw_word_lengths(cfg)
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
+        assert np.array_equal(draw_word_lengths(cfg), want)
 
