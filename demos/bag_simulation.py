@@ -16,8 +16,8 @@ Run:  python3 demos/bag_simulation.py
 from wordlen import (
     SimulationConfig,
     draw_word_lengths,
-    empirical_length_distribution,
     mean_approx,
+    word_length_histogram,
 )
 
 P = 0.883
@@ -34,7 +34,7 @@ def main():
         print()
 
     cfg = SimulationConfig(p=P, symbols=27, word_target=WORDS, seed=42)
-    hist = empirical_length_distribution(draw_word_lengths(cfg))
+    hist = word_length_histogram(draw_word_lengths(cfg), 12)
     print("token lengths vs the geometric law (forced first letter):")
     print(f"{'N':>3} {'observed':>9} {'expected':>9}")
     for n in range(1, 13):

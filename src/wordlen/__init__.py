@@ -22,7 +22,6 @@ from .bridge import (
     predicted_distinct_words,
 )
 from .ingest import (
-    DistinctWordSet,
     SymbolStream,
     TokenizationError,
     WordLengthHistogram,
@@ -70,7 +69,6 @@ from .simulate import (
     MODES,
     SimulationConfig,
     draw_word_lengths,
-    empirical_length_distribution,
 )
 
 __version__ = "0.1.0"

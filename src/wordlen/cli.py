@@ -18,11 +18,18 @@ import numpy as np
 from . import bridge, lengthmodel, report, simulate
 from .ingest import (
     TokenizationError,
+    WordLengthHistogram,
     load_corpus,
     load_wordlist,
     word_length_histogram,
 )
-from .inventory import PRESET_NAMES, InventoryError, read_utf8, resolve_inventory
+from .inventory import (
+    PRESET_NAMES,
+    InventoryError,
+    SymbolInventory,
+    read_utf8,
+    resolve_inventory,
+)
 from .ngram import entropy_profile
 
 
@@ -111,24 +118,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_histogram(args) -> int:
+def _wordlist_histogram(args) -> tuple[SymbolInventory, WordLengthHistogram]:
+    """The inventory and the distinct-word length histogram of ``args.wordlist``."""
     inv = resolve_inventory(args.inventory)
-    words = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict,
-                          source_name=Path(args.wordlist).stem)
-    hist = word_length_histogram(words, args.max_length)
+    lengths = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict)
+    return inv, word_length_histogram(lengths, args.max_length, label=Path(args.wordlist).stem)
+
+
+def _cmd_histogram(args) -> int:
+    _, hist = _wordlist_histogram(args)
     report.write_artifact(report.histogram_artifact(hist), args.format, args.out)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    inv = resolve_inventory(args.inventory)
-    words = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict,
-                          source_name=Path(args.wordlist).stem)
-    hist = word_length_histogram(words, args.max_length)
+    inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
-    artifact = report.fit_artifact(
-        hist, model, label=args.label or Path(args.wordlist).stem, scale_a=args.scale_a
-    )
+    artifact = report.fit_artifact(hist, model, label=args.label, scale_a=args.scale_a)
     report.write_artifact(artifact, args.format, args.out)
     if args.curve_out:
         report.write_artifact(
@@ -169,10 +175,7 @@ def _cmd_implied(args) -> int:
     if args.histogram:
         hist = report.read_histogram_csv(args.histogram)
     elif args.wordlist:
-        inv = resolve_inventory(args.inventory)
-        words = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict,
-                              source_name=Path(args.wordlist).stem)
-        hist = word_length_histogram(words, args.max_length)
+        _, hist = _wordlist_histogram(args)
     else:
         raise ValueError("give a word list or --histogram")
     rows = bridge.implied_profile(hist)
@@ -187,7 +190,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed, mode=args.mode,
     )
     lengths = simulate.draw_word_lengths(cfg)
-    hist = simulate.empirical_length_distribution(lengths, args.max_length)
+    hist = word_length_histogram(lengths, args.max_length, label="simulated")
     artifact = report.simulation_artifact(cfg, hist, float(np.mean(lengths)))
     report.write_artifact(artifact, args.format, args.out)
     return 0

@@ -1,11 +1,11 @@
 """Load word lists and corpora into symbol-index form.
 
-Word lists (one word per line, ``#`` comments allowed) become their
-distinct normalised words with each word's length in symbols; corpora
-become flat streams of symbol indices with single separators between
-words. Both split text in one place, ``_encode``: a table maps each code
-point to its symbol code, and one regex over the multi-character symbols,
-longest first, overrides it where such a symbol starts.
+Word lists (one word per line, ``#`` comments allowed) become the length
+in symbols of each distinct normalised word; corpora become flat streams
+of symbol indices with single separators between words. Both split text
+in one place, ``_encode``: a table maps each code point to its symbol
+code, and one regex over the multi-character symbols, longest first,
+overrides it where such a symbol starts.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import numpy as np
 
 from .inventory import SymbolInventory
 
+# lengths binned per slice
+_SLICE_LENGTHS = 1 << 16
+
 
 class TokenizationError(ValueError):
     """Input contains a symbol outside the inventory (strict mode)."""
@@ -26,21 +29,6 @@ class TokenizationError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-@dataclass(frozen=True)
-class DistinctWordSet:
-    """Unique vocabulary entries: each normalised word and its length in symbols."""
-
-    words: dict[str, int]
-    source_name: str = ""
-
-    def __post_init__(self) -> None:
-        if min(self.words.values(), default=1) < 1:
-            raise ValueError("zero-length word in set")
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -72,11 +60,11 @@ class SymbolStream:
 
 @dataclass(frozen=True)
 class WordLengthHistogram:
-    """Distinct-word counts per length 1..max_length, plus an overflow tally.
+    """Word counts per length 1..max_length, plus an overflow tally.
 
     ``counts[N-1]`` is the number of words of exactly N symbols; words
     longer than ``max_length`` land in ``overflow`` so that
-    ``sum(counts) + overflow`` equals the size of the input set.
+    ``sum(counts) + overflow`` equals the number of lengths binned.
     """
 
     counts: np.ndarray
@@ -166,13 +154,10 @@ def _word_counts(words: list[str], letters: list[str]) -> tuple[np.ndarray, np.n
             np.add.reduceat(unknown, offsets, dtype=narrow))
 
 
-def load_wordlist(
-    text: str,
-    inv: SymbolInventory,
-    strict: bool = False,
-    source_name: str = "wordlist",
-) -> DistinctWordSet:
-    """Read a one-word-per-line list into its distinct words and their lengths.
+def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> np.ndarray:
+    """Symbol length of each distinct word of a one-word-per-line list, in
+    the order the words first occur, in an unsigned dtype no wider than the
+    longest word needs.
 
     Lines end where ``str.splitlines`` breaks them. They are stripped and
     NFC-normalized (lowercased when the inventory folds case); blank lines
@@ -191,10 +176,7 @@ def load_wordlist(
         what = "separator" if symbol == inv.separator else f"symbol {symbol!r}"
         line_no = next(n for n, word in _entries(text, inv.case_fold) if word == words[first])
         raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
-    return DistinctWordSet(
-        {w: n for w, n, u in zip(words, sizes.tolist(), unknown.tolist()) if not u},
-        source_name,
-    )
+    return sizes[unknown == 0]
 
 
 def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> SymbolStream:
@@ -228,13 +210,18 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
 
 
 def word_length_histogram(
-    words: DistinctWordSet, max_length: int = 50
+    lengths, max_length: int = 50, label: str = ""
 ) -> WordLengthHistogram:
-    """Histogram of distinct-word lengths; lengths beyond max_length overflow."""
+    """Histogram of word lengths (each >= 1); lengths beyond max_length overflow."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    lengths = np.fromiter(words.words.values(), dtype=np.int64, count=len(words))
-    binned = np.bincount(np.minimum(lengths, max_length + 1), minlength=max_length + 2)
-    return WordLengthHistogram(
-        binned[1:-1], max_length, int(binned[-1]), label=words.source_name
-    )
+    arr = np.asarray(lengths, dtype=np.int64)
+    if arr.size and arr.min() < 1:
+        raise ValueError("lengths must be >= 1")
+    # clipped and counted one slice at a time, so neither a long length nor
+    # a long input costs memory in proportion to it
+    binned = np.zeros(max_length + 2, dtype=np.int64)
+    for lo in range(0, arr.size, _SLICE_LENGTHS):
+        top = np.minimum(arr[lo : lo + _SLICE_LENGTHS], max_length + 1)
+        binned += np.bincount(top, minlength=max_length + 2)
+    return WordLengthHistogram(binned[1:-1], max_length, int(binned[-1]), label=label)

@@ -80,7 +80,8 @@ def count_ngrams(
     order: int,
 ) -> NgramCountTable:
     """Count all width-``order`` windows (stream length - order + 1 of them)
-    of a stream whose symbols must lie in 0..symbol_count-1."""
+    of a stream whose symbols must lie in 0..symbol_count-1; a
+    ``SymbolStream`` must have been loaded over that many symbols."""
     if isinstance(inventory, SymbolInventory):
         inventory = inventory.symbol_count
     base = int(inventory)
@@ -91,6 +92,9 @@ def count_ngrams(
     if order * math.log2(base) > _CODE_BITS:
         raise ValueError(f"order {order} over {base} symbols exceeds int64 window coding")
     if isinstance(stream, SymbolStream):
+        if stream.alphabet_size != base:
+            raise ValueError(f"stream of {stream.alphabet_size} symbols does not match "
+                             f"an inventory of {base}")
         stream = stream.symbols
     sym = np.asarray(stream)
     if sym.size < order:

@@ -47,7 +47,7 @@ class Artifact:
         return out.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(self.payload, ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(self.payload, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
@@ -97,11 +97,12 @@ def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> A
 def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     """Parse a histogram CSV produced by ``histogram_artifact``.
 
-    The data rows must list each length 1..N exactly once.
+    The data rows must list each length 1..N exactly once, and overflow at
+    most once.
     """
     label = ""
     counts: dict[int, int] = {}
-    overflow = 0
+    overflow = None
     text = read_utf8(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -123,6 +124,8 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
         if count < 0:
             raise ValueError(f"{path}: line {line_no}: negative count {count}")
         if length is None:
+            if overflow is not None:
+                raise ValueError(f"{path}: line {line_no}: overflow is listed twice")
             overflow = count
             continue
         if length < 1 or length in counts:
@@ -136,7 +139,7 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
         gap = next(n for n in range(1, max_length + 1) if n not in counts)
         raise ValueError(f"{path}: length {gap} has no row")
     vec = np.array([counts[n] for n in range(1, max_length + 1)], dtype=np.int64)
-    return WordLengthHistogram(vec, max_length, overflow, label=label)
+    return WordLengthHistogram(vec, max_length, overflow or 0, label=label)
 
 
 def fit_artifact(
@@ -152,6 +155,8 @@ def fit_artifact(
     The vocabulary exponent is solved from the observed vocabulary size and
     is omitted when the vocabulary is too small to exceed ``scale_a``.
     """
+    if not 0.0 < scale_a < math.inf:  # also false for NaN
+        raise ValueError(f"scale_a must be finite and > 0, got {scale_a}")
     symbols, p = model.symbols, model.p
     mean_obs = lengthmodel.observed_mean(hist)
     mean_model = lengthmodel.mean_exact(symbols, p, hist.max_length)

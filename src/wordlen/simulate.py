@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import WordLengthHistogram
-
 MODES = ("forced_first_letter", "reject_empty")
 # Bernoulli trials drawn per block
 _BLOCK_TRIALS = 1 << 20
+# most Bernoulli trials a config may expect to need (a few seconds of drawing)
+MAX_TRIALS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,13 @@ class SimulationConfig:
             raise ValueError("word_target must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        # a word takes 1/(1-p) trials; reject_empty keeps a fraction p of them
+        trials = self.word_target / (1.0 - self.p)
+        if self.mode == "reject_empty":
+            trials /= self.p
+        if trials > MAX_TRIALS:
+            raise ValueError(f"{self.word_target} words at p = {self.p} in mode {self.mode} "
+                             f"need about {trials:.3g} Bernoulli trials, more than {MAX_TRIALS}")
 
 
 def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
@@ -81,23 +88,3 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
         lengths.append(block_lengths)
         produced += block_lengths.size
     return np.concatenate(lengths)[: cfg.word_target].astype(np.int64, copy=False)
-
-
-def empirical_length_distribution(
-    lengths, max_length: int | None = None
-) -> WordLengthHistogram:
-    """Histogram of generated token lengths.
-
-    These are token counts (every generated word counts), not distinct-word
-    counts; the histogram is labeled "simulated" to keep that visible.
-    """
-    arr = np.asarray(lengths, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("no lengths to histogram")
-    if arr.min() < 1:
-        raise ValueError("lengths must be >= 1")
-    top = int(arr.max()) if max_length is None else max_length
-    counts = np.bincount(arr, minlength=top + 1)[1 : top + 1]
-    overflow = int((arr > top).sum())
-    return WordLengthHistogram(counts, top, overflow, label="simulated")
-

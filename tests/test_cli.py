@@ -1,4 +1,6 @@
+import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,9 @@ import numpy as np
 import pytest
 
 import wordlen
+from wordlen import cli
 from wordlen.cli import main
-from wordlen.report import read_histogram_csv
+from wordlen.report import Artifact, read_histogram_csv
 
 SRC = str(Path(wordlen.__file__).resolve().parents[1])
 
@@ -157,6 +160,20 @@ class TestFitCommand:
         wl.write_text("a\nb\n", encoding="utf-8")
         assert run(["fit", wl]) == 1
         assert "nonzero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_fails_in_one_line(self, model_wordlist, scale):
+        # JSON has no NaN or Infinity, so such a scale_a is refused, not written
+        proc = run_python("-m", "wordlen.cli", "fit", model_wordlist, "--format", "json",
+                          "--scale-a", scale)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"wordlen fit: scale_a must be finite and > 0, got {scale}"]
+
+    def test_no_artifact_writes_non_finite_json(self):
+        artifact = Artifact({"x": math.inf}, (), ("x",), ((math.inf,),))
+        with pytest.raises(ValueError):
+            artifact.to_json()
 
 
 class TestEntropyCommand:
@@ -360,7 +377,7 @@ class TestSimulateCommand:
         run(["simulate", "--p", "0.7", "--symbols", "10", "--words", "5000",
              "--seed", "4", "--out", out])
         comments, header, rows = parse_csv(out)
-        assert "source=simulated" in comments
+        assert "source=simulated" in comments and "label=simulated" in comments
         assert header == ["length", "count"]
         hist = read_histogram_csv(out)
         assert hist.total() == 5000
@@ -455,6 +472,8 @@ class TestHistogramReader:
         (["1,5", "2,7x"], "line 3: cannot read '2,7x'"),
         (["1,5", "2,-3"], "line 3: negative count -3"),
         (["1,5", "overflow,-1"], "line 3: negative count -1"),
+        # a second overflow row used to replace the first
+        (["1,5", "2,7", "overflow,3", "overflow,9"], "line 5: overflow is listed twice"),
     ])
     def test_bad_rows_name_path_and_line(self, tmp_path, rows, problem):
         path = tmp_path / "h.csv"
@@ -482,3 +501,33 @@ def test_import_does_not_load_scipy():
                             "m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_layer_calls_go_through_cli_names(monkeypatch, model_wordlist, tmp_path):
+    # bench/traced.py replaces these four names in wordlen.cli and reads a
+    # word list's text as the first positional argument, so every subcommand
+    # must reach its layers through them
+    calls = collections.Counter()
+
+    def count(name):
+        real = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "load_wordlist":
+                assert isinstance(args[0], str)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in ("load_wordlist", "word_length_histogram", "load_corpus", "entropy_profile"):
+        count(name)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat " * 20, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    for argv in (["histogram", model_wordlist], ["fit", model_wordlist],
+                 ["implied", model_wordlist], ["entropy", corpus, "--max-order", "1"],
+                 ["simulate", "--p", "0.5", "--symbols", "27", "--words", "100"]):
+        assert run([*argv, "--out", out]) == 0
+    assert calls == {"load_wordlist": 3, "word_length_histogram": 4,
+                     "load_corpus": 1, "entropy_profile": 1}

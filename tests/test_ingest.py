@@ -1,13 +1,14 @@
+import collections
 import itertools
+import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wordlen import ingest
 from wordlen.ingest import (
-    DistinctWordSet,
     SymbolStream,
     TokenizationError,
     WordLengthHistogram,
@@ -47,6 +48,31 @@ def greedy_reference(text, inv, strict):
     return out[:-1] if out and out[-1] == sep else out
 
 
+def wordlist_reference(text, inv):
+    """Symbol lengths of the distinct words a word list keeps, in first-seen
+    order, by a position-by-position longest match of each line."""
+    letters = sorted((s for s in inv.letters if "\n" not in s), key=len, reverse=True)
+    seen, lengths = set(), []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        word = unicodedata.normalize("NFC", line)
+        word = word.lower() if inv.case_fold else word
+        if word in seen:
+            continue
+        seen.add(word)
+        pos = count = 0
+        while pos < len(word):
+            sym = next((s for s in letters if word.startswith(s, pos)), None)
+            if sym is None:
+                break
+            pos, count = pos + len(sym), count + 1
+        else:
+            lengths.append(count)
+    return lengths
+
+
 def count_table_builds(monkeypatch):
     built = []
     real = ingest._encode
@@ -61,13 +87,10 @@ def count_table_builds(monkeypatch):
 
 class TestWordlist:
     def test_duplicates_collapse(self):
-        ws = load_wordlist("a\nan\nan\nthe", ENGLISH)
-        assert len(ws) == 3
-        assert set(ws.words) == {"a", "an", "the"}
+        assert load_wordlist("a\nan\nan\nthe", ENGLISH).tolist() == [1, 2, 3]
 
     def test_case_folds_and_comments_skip(self):
-        ws = load_wordlist("The\n# not a word\n\n  the  ", ENGLISH)
-        assert set(ws.words) == {"the"}
+        assert load_wordlist("The\n# not a word\n\n  the  ", ENGLISH).tolist() == [3]
 
     def test_strict_mode_reports_line_and_symbol(self):
         with pytest.raises(TokenizationError, match="ï") as err:
@@ -76,8 +99,7 @@ class TestWordlist:
         assert err.value.line == 2
 
     def test_lenient_mode_skips_bad_words(self):
-        ws = load_wordlist("cat\nnaïve\ndog", ENGLISH)
-        assert set(ws.words) == {"cat", "dog"}
+        assert load_wordlist("cat\nnaïve\nhorses", ENGLISH).tolist() == [3, 6]
 
     def test_separator_inside_word_rejected(self):
         with pytest.raises(TokenizationError, match="separator"):
@@ -95,7 +117,7 @@ class TestWordlist:
         ws = load_wordlist("a\nb\nc\n", ENGLISH)
         assert len(ws) == 3
         # lines end at every str.splitlines break, so a CR-only list keeps its words
-        assert set(load_wordlist("cat\rdog\rbird\r", ENGLISH).words) == {"cat", "dog", "bird"}
+        assert load_wordlist("a\rdog\rbird\r", ENGLISH).tolist() == [1, 3, 4]
 
     def test_meroitic_scale_list(self):
         # 1,396 distinct tokens built over digraph-free letters so greedy
@@ -113,24 +135,37 @@ class TestWordlist:
 
     def test_multigraph_word_length(self):
         # length is counted in inventory symbols, not code points
-        ws = load_wordlist("chacha", SWAHILI)
-        assert ws.words == {"chacha": 4}
-        hist = word_length_histogram(ws, 10)
+        lengths = load_wordlist("chacha", SWAHILI)
+        assert lengths.tolist() == [4]
+        hist = word_length_histogram(lengths, 10)
         assert hist.count(4) == 1
 
     def test_zero_length_word_invalid(self):
-        with pytest.raises(ValueError):
-            DistinctWordSet({"": 0})
+        # lines that strip to nothing are no words, and no length 0 is binned
+        assert load_wordlist(" \n\t\n\u3000\n", ENGLISH).size == 0
+        with pytest.raises(ValueError, match=">= 1"):
+            word_length_histogram([0, 1])
 
     def test_greedy_match_does_not_backtrack(self):
-        assert load_wordlist("ab\na\nbc\nabc", OVERLAPPING).words == {
-            "ab": 1, "a": 1, "bc": 1}
+        # aab is a + ab and bcbcbc is bc three times; abc splits as ab + c
+        assert load_wordlist("ab\naab\nbcbcbc\nabc", OVERLAPPING).tolist() == [1, 2, 3]
         with pytest.raises(TokenizationError, match="line 4: symbol 'c'"):
-            load_wordlist("ab\na\nbc\nabc", OVERLAPPING, strict=True)
+            load_wordlist("ab\naab\nbcbcbc\nabc", OVERLAPPING, strict=True)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_greedy_reference(self, data):
+        letters = data.draw(st.lists(st.text(alphabet="abcé𝔞\n", min_size=1, max_size=3),
+                                     min_size=1, max_size=6, unique=True))
+        separator = data.draw(st.sampled_from([" ", "_", "||", "-"]))
+        assume(separator not in letters)
+        inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
+        text = data.draw(st.text(alphabet="abcé𝔞A _|-#\n\r\x0b", max_size=40))
+        assert load_wordlist(text, inv).tolist() == wordlist_reference(text, inv)
 
     def test_letter_with_line_break_never_joins_two_words(self):
         inv = build_inventory(["a", "b", "a\nb"])
-        assert load_wordlist("a\nb", inv, strict=True).words == {"a": 1, "b": 1}
+        assert load_wordlist("a\nbb", inv, strict=True).tolist() == [1, 2]
         assert load_corpus("a\nb", inv).symbols.tolist() == [2]
 
     def test_multi_character_separator_inside_word(self):
@@ -236,8 +271,9 @@ class TestHistogram:
         assert hist.count(1) == 1 and hist.count(2) == 1 and hist.count(3) == 2
 
     def test_empty_set_all_zero(self):
-        hist = word_length_histogram(DistinctWordSet({}), 5)
+        hist = word_length_histogram(load_wordlist("", ENGLISH), 5)
         assert hist.counts.sum() == 0 and hist.overflow == 0
+        assert word_length_histogram([], 5).total() == 0
 
     def test_overflow_tally(self):
         ws = load_wordlist("a\nabcdef", ENGLISH)
@@ -246,15 +282,29 @@ class TestHistogram:
         assert hist.overflow == 1
         assert hist.total() == 2
 
-    @settings(max_examples=50)
+    @settings(max_examples=200)
     @given(
-        st.lists(st.text(alphabet="ab", min_size=1, max_size=9), max_size=40),
-        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=1, max_value=80), max_size=300),
+        st.integers(min_value=1, max_value=60),
     )
-    def test_totals_invariant(self, lines, max_length):
-        ws = load_wordlist("\n".join(lines), ENGLISH)
-        hist = word_length_histogram(ws, max_length)
-        assert hist.total() == len(ws)
+    # hand counts: repeats, one value in one cell, an overflow past max_length
+    @example([1, 1, 2], 2)
+    @example([4, 4, 4], 4)
+    @example([1, 2, 9], 5)
+    def test_totals_invariant(self, lengths, max_length):
+        hist = word_length_histogram(np.array(lengths, dtype=np.uint8), max_length)
+        want = collections.Counter(lengths)
+        assert hist.counts.tolist() == [want[n] for n in range(1, max_length + 1)]
+        assert hist.overflow == sum(c for n, c in want.items() if n > max_length)
+        assert hist.counts.sum() + hist.overflow == len(lengths)
+
+    @pytest.mark.parametrize("slice_lengths", [1, 3, 64])
+    def test_counts_do_not_depend_on_slice_size(self, monkeypatch, slice_lengths):
+        lengths = np.random.default_rng(3).geometric(0.2, size=500)
+        want = word_length_histogram(lengths, 12)
+        monkeypatch.setattr(ingest, "_SLICE_LENGTHS", slice_lengths)
+        got = word_length_histogram(lengths, 12)
+        assert np.array_equal(got.counts, want.counts) and got.overflow == want.overflow
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -266,4 +316,4 @@ class TestHistogram:
 
     def test_rejects_bad_max_length(self):
         with pytest.raises(ValueError):
-            word_length_histogram(DistinctWordSet({}), 0)
+            word_length_histogram([], 0)

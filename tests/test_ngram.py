@@ -143,6 +143,15 @@ class TestCounting:
         with pytest.raises(ValueError, match=r"symbol indices 0\.\.2 outside 0\.\.1"):
             count_ngrams(np.array([0, 0, 2]), 2, 2)
 
+    def test_stream_alphabet_must_match_inventory(self):
+        # a 25-symbol Swahili stream used to be read as English, H_0 = log2 27
+        english, swahili = preset_inventory("english"), preset_inventory("swahili")
+        stream = load_corpus("chai na chakula " * 50, swahili)
+        with pytest.raises(ValueError, match="stream of 25 symbols .* inventory of 27"):
+            entropy_profile(stream, english, 2)
+        with pytest.raises(ValueError, match="stream of 25 symbols .* inventory of 27"):
+            count_ngrams(stream, 27, 1)
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             NgramCountTable(2, 3, [1, 1], [1, 1])  # repeated code

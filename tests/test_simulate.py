@@ -1,15 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wordlen import simulate
+from wordlen.ingest import word_length_histogram
 from wordlen.lengthmodel import chi_square_p_value, chi_square_stat
-from wordlen.simulate import (
-    SimulationConfig,
-    draw_word_lengths,
-    empirical_length_distribution,
-)
+from wordlen.simulate import SimulationConfig, draw_word_lengths
 
 
 def geometric_gof_p_value(lengths, p):
@@ -76,31 +74,33 @@ class TestDrawLengths:
             SimulationConfig(0.5, 5, 10, 1, mode="maybe")
 
 
+    @pytest.mark.parametrize("p, words, mode, trials", [
+        (1e-6, 1000, "reject_empty", "1e+09"),
+        (0.9999999, 100, "forced_first_letter", "1e+09"),
+        (0.5, 2**28, "forced_first_letter", "5.37e+08"),
+        (5e-324, 1, "reject_empty", "inf"),
+    ])
+    def test_runs_past_the_trial_limit_are_rejected(self, p, words, mode, trials):
+        # rejected when the config is made, before any draw
+        with pytest.raises(ValueError, match=re.escape(f"about {trials} Bernoulli trials")):
+            SimulationConfig(p, 27, words, 1, mode)
+
+    def test_trial_limit_admits_the_expected_count(self):
+        # forced: words/(1-p) trials; reject_empty: words/(p(1-p))
+        SimulationConfig(0.5, 27, simulate.MAX_TRIALS // 2, 1)
+        SimulationConfig(0.5, 27, simulate.MAX_TRIALS // 4, 1, "reject_empty")
+        with pytest.raises(ValueError, match="Bernoulli trials"):
+            SimulationConfig(0.5, 27, simulate.MAX_TRIALS // 2 + 1, 1)
+        with pytest.raises(ValueError, match="Bernoulli trials"):
+            SimulationConfig(0.5, 27, simulate.MAX_TRIALS // 4 + 1, 1, "reject_empty")
+
+
 class TestEmpiricalDistribution:
-    def test_hand_counts(self):
-        hist = empirical_length_distribution([1, 1, 2])
-        assert hist.count(1) == 2 and hist.count(2) == 1
-        assert hist.label == "simulated"
-
-    def test_single_value_single_cell(self):
-        hist = empirical_length_distribution([4, 4, 4])
-        assert hist.count(4) == 3 and hist.counts.sum() == 3
-
-    def test_explicit_max_length_overflows(self):
-        hist = empirical_length_distribution([1, 2, 9], max_length=5)
-        assert hist.overflow == 1 and hist.total() == 3
-
     def test_generated_lengths_pass_geometric_gof(self):
         lengths = draw_word_lengths(SimulationConfig(0.883, 27, 10**6, 42))
-        hist = empirical_length_distribution(lengths)
-        assert hist.total() == 10**6
+        hist = word_length_histogram(lengths, int(lengths.max()), label="simulated")
+        assert hist.total() == 10**6 and hist.overflow == 0
         assert geometric_gof_p_value(lengths, 0.883) >= 0.001
-
-    def test_empty_and_invalid_input(self):
-        with pytest.raises(ValueError):
-            empirical_length_distribution([])
-        with pytest.raises(ValueError):
-            empirical_length_distribution([0, 1])
 
 
 @pytest.mark.parametrize("mode", ["forced_first_letter", "reject_empty"])
