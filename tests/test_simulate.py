@@ -96,6 +96,20 @@ class TestDrawLengths:
 
 
 class TestEmpiricalDistribution:
+    # token lengths from the bag simulation bin through word_length_histogram
+    def test_hand_counts(self):
+        hist = word_length_histogram([1, 1, 2], 2, label="simulated")
+        assert hist.count(1) == 2 and hist.count(2) == 1
+        assert hist.label == "simulated"
+
+    def test_single_value_single_cell(self):
+        hist = word_length_histogram([4, 4, 4], 4, label="simulated")
+        assert hist.count(4) == 3 and hist.counts.sum() == 3
+
+    def test_explicit_max_length_overflows(self):
+        hist = word_length_histogram([1, 2, 9], 5, label="simulated")
+        assert hist.overflow == 1 and hist.total() == 3
+
     def test_generated_lengths_pass_geometric_gof(self):
         lengths = draw_word_lengths(SimulationConfig(0.883, 27, 10**6, 42))
         hist = word_length_histogram(lengths, int(lengths.max()), label="simulated")
