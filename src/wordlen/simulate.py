@@ -28,7 +28,7 @@ import numpy as np
 
 MODES = ("forced_first_letter", "reject_empty")
 # Bernoulli trials drawn per block
-_BLOCK_TRIALS = 1 << 20
+_BLOCK_TRIALS = 1 << 16
 # most Bernoulli trials a config may expect to need (a few seconds of drawing)
 MAX_TRIALS = 1 << 28
 
@@ -69,7 +69,10 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
     not the output; identical configs (seed included) produce identical output.
     """
     rng = np.random.default_rng(cfg.seed)
-    lengths: list[np.ndarray] = []
+    # filled in place: no list of per-block arrays to join, and every block
+    # allocates the same few arrays, so the peak memory is the same whatever
+    # the seed
+    lengths = np.empty(cfg.word_target, dtype=np.int64)
     produced = 0
     carry = 0  # letters of a word left unfinished by the previous block
     while produced < cfg.word_target:
@@ -78,13 +81,14 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
         if sep_positions.size == 0:
             carry += _BLOCK_TRIALS
             continue
-        runs = np.diff(np.concatenate(([-1], sep_positions))) - 1
+        runs = np.diff(sep_positions, prepend=-1) - 1
         runs[0] += carry
         carry = _BLOCK_TRIALS - int(sep_positions[-1]) - 1
         if cfg.mode == "forced_first_letter":
             block_lengths = runs + 1
         else:
             block_lengths = runs[runs > 0]
-        lengths.append(block_lengths)
-        produced += block_lengths.size
-    return np.concatenate(lengths)[: cfg.word_target].astype(np.int64, copy=False)
+        take = min(block_lengths.size, cfg.word_target - produced)
+        lengths[produced : produced + take] = block_lengths[:take]
+        produced += take
+    return lengths
