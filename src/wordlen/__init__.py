@@ -10,65 +10,83 @@ The package has four layers:
 plus a bag-model ``simulate`` layer used as an independent check of the
 length model's probabilistic story, and a CLI (``wordlen``) that emits CSV
 or JSON reports from each layer.
+
+Names are loaded on first use (PEP 562), so ``import wordlen`` loads no
+layer and ``wordlen.fit_p`` loads only ``lengthmodel`` and what it needs.
 """
 
-from .bridge import (
-    ImpliedEntropyRow,
-    WordCountPrediction,
-    entropy_from_p,
-    implied_entropy,
-    implied_profile,
-    predict_from_entropies,
-    predicted_distinct_words,
-)
-from .ingest import (
-    SymbolStream,
-    TokenizationError,
-    WordLengthHistogram,
-    load_corpus,
-    load_wordlist,
-    word_length_histogram,
-)
-from .inventory import (
-    PRESET_NAMES,
-    InventoryError,
-    SymbolInventory,
-    build_inventory,
-    load_inventory_file,
-    preset_inventory,
-    resolve_inventory,
-)
-from .lengthmodel import (
-    DEFAULT_SCALE_A,
-    FitError,
-    FittedLengthModel,
-    chi_square_p_value,
-    chi_square_stat,
-    fit_p,
-    fit_scale_constant,
-    longest_word_estimate,
-    mean_approx,
-    mean_exact,
-    model_count,
-    model_histogram,
-    observed_mean,
-    observed_stddev,
-    reliable_length_limit,
-    solve_b,
-    stddev_approx,
-    vocab_total_approx,
-)
-from .ngram import (
-    EntropyProfile,
-    NgramCountTable,
-    count_ngrams,
-    entropy_profile,
-    merge_tables,
-)
-from .simulate import (
-    MODES,
-    SimulationConfig,
-    draw_word_lengths,
-)
+import importlib
 
+# each exported name and the module it lives in
+_HOMES = {
+    "bridge": (
+        "ImpliedEntropyRow",
+        "WordCountPrediction",
+        "entropy_from_p",
+        "implied_entropy",
+        "implied_profile",
+        "predict_from_entropies",
+        "predicted_distinct_words",
+    ),
+    "ingest": (
+        "SymbolStream",
+        "TokenizationError",
+        "WordLengthHistogram",
+        "load_corpus",
+        "load_wordlist",
+        "word_length_histogram",
+    ),
+    "inventory": (
+        "PRESET_NAMES",
+        "InventoryError",
+        "SymbolInventory",
+        "build_inventory",
+        "load_inventory_file",
+        "preset_inventory",
+        "resolve_inventory",
+    ),
+    "lengthmodel": (
+        "FitError",
+        "FittedLengthModel",
+        "chi_square_p_value",
+        "chi_square_stat",
+        "fit_p",
+        "fit_scale_constant",
+        "longest_word_estimate",
+        "mean_approx",
+        "mean_exact",
+        "model_count",
+        "model_histogram",
+        "observed_mean",
+        "observed_stddev",
+        "reliable_length_limit",
+        "solve_b",
+        "stddev_approx",
+        "vocab_total_approx",
+    ),
+    "ngram": (
+        "EntropyProfile",
+        "NgramCountTable",
+        "count_ngrams",
+        "entropy_profile",
+        "merge_tables",
+    ),
+    "report": ("DEFAULT_SCALE_A",),
+    "simulate": (
+        "MODES",
+        "SimulationConfig",
+        "draw_word_lengths",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

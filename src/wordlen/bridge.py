@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .ingest import WordLengthHistogram
+if TYPE_CHECKING:
+    from .ingest import WordLengthHistogram
 
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:

@@ -5,32 +5,46 @@ word lists, ``entropy`` on corpora, ``predict`` and ``implied`` convert
 between entropies and word counts, and ``simulate`` runs the bag model.
 Every subcommand is deterministic given its inputs (and seed) and writes
 one artifact as CSV or JSON.
+
+A subcommand imports only the layers it runs: ``predict`` loads no numpy.
+The layer functions ``load_wordlist``, ``word_length_histogram``,
+``load_corpus`` and ``entropy_profile`` are attributes of this module,
+loaded on first access, and the commands call them through the module, so
+replacing one here (to trace or count calls) reaches every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import bridge, report, simulate
+from .inventory import PRESET_NAMES, read_utf8, resolve_inventory
 
-from . import bridge, lengthmodel, report, simulate
-from .ingest import (
-    TokenizationError,
-    WordLengthHistogram,
-    load_corpus,
-    load_wordlist,
-    word_length_histogram,
-)
-from .inventory import (
-    PRESET_NAMES,
-    InventoryError,
-    SymbolInventory,
-    read_utf8,
-    resolve_inventory,
-)
-from .ngram import entropy_profile
+if TYPE_CHECKING:
+    from .ingest import WordLengthHistogram
+    from .inventory import SymbolInventory
+
+# each layer function read off this module and the module it comes from
+_LAYER_FUNCTIONS = {
+    "load_wordlist": "ingest",
+    "word_length_histogram": "ingest",
+    "load_corpus": "ingest",
+    "entropy_profile": "ngram",
+}
+_cli = sys.modules[__name__]  # the commands call the layer functions through it
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAYER_FUNCTIONS[name]}", __package__)
+    value = getattr(module, name)
+    globals()[name] = value
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None:
@@ -65,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("wordlist")
     p_fit.add_argument("--max-length", type=int, default=50)
     p_fit.add_argument("--label", default="", help="language label for the report")
-    p_fit.add_argument("--scale-a", type=float, default=lengthmodel.DEFAULT_SCALE_A,
+    p_fit.add_argument("--scale-a", type=float, default=report.DEFAULT_SCALE_A,
                        help="shared scale constant of the vocabulary closed form")
     p_fit.add_argument("--trim-tail", action="store_true",
                        help="drop cells past the last nonzero observed length")
@@ -121,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _wordlist_histogram(args) -> tuple[SymbolInventory, WordLengthHistogram]:
     """The inventory and the distinct-word length histogram of ``args.wordlist``."""
     inv = resolve_inventory(args.inventory)
-    lengths = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict)
-    return inv, word_length_histogram(lengths, args.max_length, label=Path(args.wordlist).stem)
+    lengths = _cli.load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict)
+    hist = _cli.word_length_histogram(lengths, args.max_length, label=Path(args.wordlist).stem)
+    return inv, hist
 
 
 def _cmd_histogram(args) -> int:
@@ -132,6 +147,8 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import lengthmodel
+
     inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
     artifact = report.fit_artifact(hist, model, label=args.label, scale_a=args.scale_a)
@@ -145,8 +162,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_entropy(args) -> int:
     inv = resolve_inventory(args.inventory)
-    stream = load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
-    profile = entropy_profile(stream, inv, args.max_order)
+    stream = _cli.load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
+    profile = _cli.entropy_profile(stream, inv, args.max_order)
     artifact = report.profile_artifact(profile, label=args.label or Path(args.corpus).stem)
     report.write_artifact(artifact, args.format, args.out)
     return 0
@@ -190,8 +207,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed, mode=args.mode,
     )
     lengths = simulate.draw_word_lengths(cfg)
-    hist = word_length_histogram(lengths, args.max_length, label="simulated")
-    artifact = report.simulation_artifact(cfg, hist, float(np.mean(lengths)))
+    hist = _cli.word_length_histogram(lengths, args.max_length, label="simulated")
+    artifact = report.simulation_artifact(cfg, hist, float(lengths.mean()))
     report.write_artifact(artifact, args.format, args.out)
     return 0
 
@@ -206,12 +223,23 @@ _COMMANDS = {
 }
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports in one line on stderr.
+
+    ``InventoryError`` and ``TokenizationError`` are ``ValueError``s.
+    ``FitError`` is looked up only once a command has failed, so no command
+    loads ``lengthmodel`` to succeed.
+    """
+    from .lengthmodel import FitError
+
+    return OSError, ValueError, FitError
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, InventoryError, TokenizationError,
-            lengthmodel.FitError) as err:
+    except _reported_errors() as err:
         print(f"wordlen {args.command}: {err}", file=sys.stderr)
         return 1
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ingest import WordLengthHistogram
+if TYPE_CHECKING:
+    from .ingest import WordLengthHistogram
 
-DEFAULT_SCALE_A = 7.45
 EXPECTED_FLOOR = 1e-6
 # fit_p's search: the p range, its grid step, and the refinement tolerance
 P_BOUNDS = (0.60, 0.99)
@@ -87,16 +88,42 @@ def chi_square_stat(observed, expected) -> float:
 
 
 def chi_square_p_value(stat: float, df: int) -> float:
-    """Upper-tail P(X >= stat) for chi-square with df degrees of freedom."""
+    """Upper-tail P(X >= stat) for chi-square with df degrees of freedom.
+
+    This is the regularized upper incomplete gamma Q(a, x) at a = df/2 and
+    x = stat/2. As a is a whole or half-integer, Q has a closed form:
+
+        x <  a   1 - sum_n x**(a+n) e**-x / Gamma(a+n+1)       (lower tail)
+        x >= a   sum_{i < a-h} x**(i+h) e**-x / Gamma(i+h+1)
+                 + erfc(sqrt(x)) when h = a mod 1 is 1/2
+
+    Each term is taken in logs, so a large x underflows only terms that are
+    negligible. The finite sum alone rounds to just under 1 near x = 0,
+    which is why small x takes the lower-tail series.
+    """
     if stat < 0.0:
         raise ValueError("statistic must be non-negative")
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    # imported here: loading scipy costs every subcommand a third of a second
-    from scipy.special import gammaincc
+    if df < 1 or not float(df).is_integer():
+        raise ValueError(f"df must be a whole number >= 1, got {df}")
+    a, x = df / 2.0, stat / 2.0
+    if x == 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    log_x = math.log(x)
 
-    # regularized upper incomplete gamma Q(df/2, stat/2)
-    return float(gammaincc(df / 2.0, stat / 2.0))
+    def term(power: float) -> float:
+        return math.exp(power * log_x - x - math.lgamma(power + 1.0))
+
+    if x < a:
+        # terms fall by x/(a+n+1) < 1 each step; stop once one no longer counts
+        terms = [term(a)]
+        while terms[-1] > 1e-17 * terms[0]:
+            terms.append(term(a + len(terms)))
+        return 1.0 - math.fsum(terms)
+    h = a % 1.0
+    tail = math.erfc(math.sqrt(x)) if h else 0.0
+    return math.fsum([tail, *(term(i + h) for i in range(int(a - h)))])
 
 
 @dataclass(frozen=True)
@@ -230,7 +257,7 @@ def fit_scale_constant(observations) -> tuple[float, float]:
     ``observations`` is an iterable of (symbols, p, vocab_observed) triples.
     Regresses ln(V) on s = ln(L)^2 * p/(1-p), giving intercept ln(A) and
     slope b. Off by default everywhere; the stock value is
-    ``DEFAULT_SCALE_A``.
+    ``report.DEFAULT_SCALE_A``.
     """
     rows = [(math.log(l) ** 2 * p / (1.0 - p), math.log(v)) for l, p, v in observations]
     if len(rows) < 2:

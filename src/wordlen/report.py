@@ -17,15 +17,19 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bridge, lengthmodel
-from .ingest import WordLengthHistogram
 from .inventory import read_utf8
-from .ngram import EntropyProfile
-from .simulate import SimulationConfig
 
+if TYPE_CHECKING:
+    from .bridge import ImpliedEntropyRow
+    from .ingest import WordLengthHistogram
+    from .lengthmodel import FittedLengthModel
+    from .ngram import EntropyProfile
+    from .simulate import SimulationConfig
+
+# shared scale A of the vocabulary closed form ``lengthmodel.vocab_total_approx``
+DEFAULT_SCALE_A = 7.45
 # columns printed at table precision in CSV
 ENTROPY_COLUMNS = frozenset({"entropy_bits"})
 
@@ -60,12 +64,14 @@ class Artifact:
 def _cell(value, column: str) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if hasattr(value, "item"):  # a numpy scalar: print the Python scalar it holds
+        value = value.item()
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.2f}" if column in ENTROPY_COLUMNS else repr(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.2f}" if column in ENTROPY_COLUMNS else repr(value)
     return str(value)
 
 
@@ -100,6 +106,8 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     The data rows must list each length 1..N exactly once, and overflow at
     most once.
     """
+    from .ingest import WordLengthHistogram
+
     label = ""
     counts: dict[int, int] = {}
     overflow = None
@@ -138,15 +146,15 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     if len(counts) != max_length:
         gap = next(n for n in range(1, max_length + 1) if n not in counts)
         raise ValueError(f"{path}: length {gap} has no row")
-    vec = np.array([counts[n] for n in range(1, max_length + 1)], dtype=np.int64)
+    vec = [counts[n] for n in range(1, max_length + 1)]
     return WordLengthHistogram(vec, max_length, overflow or 0, label=label)
 
 
 def fit_artifact(
     hist: WordLengthHistogram,
-    model: lengthmodel.FittedLengthModel,
+    model: FittedLengthModel,
     label: str = "",
-    scale_a: float = lengthmodel.DEFAULT_SCALE_A,
+    scale_a: float = DEFAULT_SCALE_A,
 ) -> Artifact:
     """Fit report: letter probability, goodness of fit, and the closed-form
     mean/sigma/vocabulary columns next to their observed counterparts.
@@ -155,6 +163,8 @@ def fit_artifact(
     The vocabulary exponent is solved from the observed vocabulary size and
     is omitted when the vocabulary is too small to exceed ``scale_a``.
     """
+    from . import lengthmodel
+
     if not 0.0 < scale_a < math.inf:  # also false for NaN
         raise ValueError(f"scale_a must be finite and > 0, got {scale_a}")
     symbols, p = model.symbols, model.p
@@ -194,14 +204,14 @@ def fit_artifact(
     return Artifact(payload, (), header, (tuple(payload.values()),))
 
 
-def fit_curve_artifact(
-    hist: WordLengthHistogram, model: lengthmodel.FittedLengthModel
-) -> Artifact:
+def fit_curve_artifact(hist: WordLengthHistogram, model: FittedLengthModel) -> Artifact:
     """Observed vs fitted counts per length, for plotting.
 
     Lengths beyond mean+sigma are marked unreliable: the model is known to
     overestimate well past the mean.
     """
+    from . import lengthmodel
+
     expected = lengthmodel.model_histogram(model.symbols, model.p, hist.max_length)
     limit = lengthmodel.reliable_length_limit(model.p)
     rows = [
@@ -289,7 +299,7 @@ def predictions_artifact(predictions, label: str = "") -> Artifact:
     )
 
 
-def implied_artifact(rows: list[bridge.ImpliedEntropyRow], label: str = "") -> Artifact:
+def implied_artifact(rows: list[ImpliedEntropyRow], label: str = "") -> Artifact:
     table = [(r.length, r.word_count, r.entropy_bits, r.has_data) for r in rows]
     payload = {
         "label": label,

@@ -23,8 +23,10 @@ output rather than reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MODES = ("forced_first_letter", "reject_empty")
 # Bernoulli trials drawn per block
@@ -68,6 +70,8 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
     doubles however its draws are cut, so the block size changes memory use,
     not the output; identical configs (seed included) produce identical output.
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     # filled in place: no list of per-block arrays to join, and every block
     # allocates the same few arrays, so the peak memory is the same whatever

@@ -1,3 +1,4 @@
+import ast
 import collections
 import json
 import math
@@ -501,6 +502,52 @@ def test_import_does_not_load_scipy():
                             "m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def packages_loaded_by(*argv):
+    """Top-level packages loaded once one ``wordlen`` call has run in a fresh interpreter."""
+    proc = run_python("-c", "import sys; from wordlen.cli import main; code = main(sys.argv[1:]); "
+                            "print(sorted({m.split('.')[0] for m in sys.modules})); sys.exit(code)",
+                      *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_predict_loads_neither_numpy_nor_scipy(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"orders": [{"order": 2, "entropy_bits": 3.3}]}),
+                       encoding="utf-8")
+    for argv in (["--entropy-bits", "3.56", "--length", "2"], ["--profile", profile]):
+        loaded = packages_loaded_by("predict", *argv, "--out", tmp_path / "out.csv")
+        assert "wordlen" in loaded
+        assert not loaded & {"numpy", "scipy"}, argv
+
+
+def test_fit_does_not_load_scipy(model_wordlist, tmp_path):
+    loaded = packages_loaded_by("fit", model_wordlist, "--out", tmp_path / "fit.csv")
+    assert "numpy" in loaded and "scipy" not in loaded
+
+
+def test_runs_as_a_module(reference_style_wordlist):
+    # as __main__, the commands still reach the layer functions loaded on first use
+    proc = run_python("-m", "wordlen.cli", "histogram", reference_style_wordlist)
+    assert proc.returncode == 0, proc.stderr
+    assert "2,93" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    ("fit", "ab\ncd\n", []),  # fewer than 3 nonzero cells: a FitError
+    ("histogram", "ok\nnaïve\n", ["--strict"]),  # a TokenizationError
+])
+def test_layer_errors_exit_1_in_one_line(tmp_path, command, text, flags):
+    # the CLI loads these layers, and their error types, only inside a command
+    words = tmp_path / "words.txt"
+    words.write_text(text, encoding="utf-8")
+    proc = run_python("-c", "import sys; from wordlen.cli import main; sys.exit(main())",
+                      command, words, *flags)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"wordlen {command}: "), proc.stderr
 
 
 def test_layer_calls_go_through_cli_names(monkeypatch, model_wordlist, tmp_path):

@@ -128,15 +128,32 @@ class TestChiSquare:
         )
 
     @settings(max_examples=40)
-    @given(st.floats(min_value=0, max_value=80), st.floats(min_value=0, max_value=30))
-    def test_p_value_monotone_in_stat(self, stat, bump):
-        assert lm.chi_square_p_value(stat + bump, 48) <= lm.chi_square_p_value(stat, 48)
+    @given(st.floats(min_value=0, max_value=80), st.floats(min_value=0, max_value=30),
+           st.sampled_from((1, 3, 47, 48)))
+    def test_p_value_monotone_in_stat(self, stat, bump, df):
+        assert lm.chi_square_p_value(stat + bump, df) <= lm.chi_square_p_value(stat, df)
+
+    def test_p_value_matches_scipy_and_falls_from_one(self):
+        # scipy is a test reference only: Q(df/2, stat/2) is the upper tail
+        from scipy.special import gammaincc
+
+        for df in range(1, 201):
+            stats = np.linspace(0.0, 4.0 * df, 161).tolist()
+            got = [lm.chi_square_p_value(stat, df) for stat in stats]
+            assert got[0] == 1.0
+            assert all(0.0 <= b <= a <= 1.0 for a, b in zip(got, got[1:])), df
+            for stat, value in zip(stats, got):
+                want = float(gammaincc(df / 2.0, stat / 2.0))
+                if want > 1e-290:
+                    assert value == pytest.approx(want, rel=1e-10), (stat, df)
 
     def test_p_value_errors(self):
         with pytest.raises(ValueError):
             lm.chi_square_p_value(-1.0, 5)
         with pytest.raises(ValueError):
             lm.chi_square_p_value(1.0, 0)
+        with pytest.raises(ValueError, match="whole number"):
+            lm.chi_square_p_value(1.0, 48.5)
 
 
 class TestFit:

@@ -1,0 +1,30 @@
+import importlib
+
+import pytest
+
+import wordlen
+
+from test_cli import run_python
+
+
+def test_every_export_is_its_home_modules_object():
+    for name in wordlen.__all__:
+        home = importlib.import_module(f"wordlen.{wordlen._HOME[name]}")
+        value = getattr(wordlen, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wordlen.no_such_name
+    assert not hasattr(wordlen, "fit")
+
+
+def test_readme_quickstart_loads_layers_on_first_use():
+    proc = run_python("-c", "import sys; import wordlen as w; "
+                            "print('numpy' in sys.modules, 'wordlen.lengthmodel' in sys.modules); "
+                            "w.fit_p; print('wordlen.lengthmodel' in sys.modules, "
+                            "w.fit_p is sys.modules['wordlen.lengthmodel'].fit_p)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True", "True"]
