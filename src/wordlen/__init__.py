@@ -31,7 +31,6 @@ _HOMES = {
     "ingest": (
         "SymbolStream",
         "TokenizationError",
-        "WordLengthHistogram",
         "load_corpus",
         "load_wordlist",
         "word_length_histogram",
@@ -71,7 +70,10 @@ _HOMES = {
         "entropy_profile",
         "merge_tables",
     ),
-    "report": ("DEFAULT_SCALE_A",),
+    "report": (
+        "DEFAULT_SCALE_A",
+        "WordLengthHistogram",
+    ),
     "simulate": (
         "MODES",
         "SimulationConfig",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .ingest import WordLengthHistogram
+    from .report import WordLengthHistogram
 
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import bridge, report, simulate
-from .inventory import PRESET_NAMES, read_utf8, resolve_inventory
-
-if TYPE_CHECKING:
-    from .ingest import WordLengthHistogram
-    from .inventory import SymbolInventory
+from .inventory import PRESET_NAMES, SymbolInventory, read_utf8, resolve_inventory
+from .report import WordLengthHistogram
 
 # each layer function read off this module and the module it comes from
 _LAYER_FUNCTIONS = {
@@ -171,7 +168,12 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.profile:
-        wanted = {int(x) for x in args.orders.split(",") if x.strip()}
+        wanted = set()
+        for x in filter(str.strip, args.orders.split(",")):
+            try:
+                wanted.add(int(x))
+            except ValueError:
+                raise ValueError(f"--orders: {x.strip()!r} is not a whole number") from None
         pairs = [(o, h) for o, h in report.read_profile_json(args.profile)
                  if o in wanted and o >= 1]
         if not pairs:
@@ -236,8 +238,16 @@ def _reported_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No command makes a BLAS call, but OpenBLAS starts a worker thread when
+    # numpy loads, and that thread busy-waits on the CPUs the command needs
+    # while it starts up. Set here rather than on import, so a library
+    # caller's BLAS is left alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
+        # checked before any input is read or any word is drawn
+        if getattr(args, "max_length", 1) < 1:
+            raise ValueError("max_length must be >= 1")
         return _COMMANDS[args.command](args)
     except _reported_errors() as err:
         print(f"wordlen {args.command}: {err}", file=sys.stderr)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .inventory import SymbolInventory
+from .report import WordLengthHistogram
 
 # lengths binned per slice
 _SLICE_LENGTHS = 1 << 16
@@ -58,49 +59,9 @@ class SymbolStream:
             raise ValueError("consecutive separators in stream")
 
 
-@dataclass(frozen=True)
-class WordLengthHistogram:
-    """Word counts per length 1..max_length, plus an overflow tally.
-
-    ``counts[N-1]`` is the number of words of exactly N symbols; words
-    longer than ``max_length`` land in ``overflow`` so that
-    ``sum(counts) + overflow`` equals the number of lengths binned.
-    """
-
-    counts: np.ndarray
-    max_length: int
-    overflow: int = 0
-    label: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if self.max_length < 1 or counts.shape != (self.max_length,):
-            raise ValueError("counts must have one cell per length 1..max_length")
-        if counts.min(initial=0) < 0 or self.overflow < 0:
-            raise ValueError("negative count")
-
-    def count(self, length: int) -> int:
-        """Count of words of exactly ``length`` symbols (1-based)."""
-        if not 1 <= length <= self.max_length:
-            raise IndexError(f"length {length} outside 1..{self.max_length}")
-        return int(self.counts[length - 1])
-
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.overflow
-
-
 def _prepare(text: str, case_fold: bool) -> str:
     text = unicodedata.normalize("NFC", text)
     return text.lower() if case_fold else text
-
-
-def _entries(text: str, case_fold: bool) -> Iterator[tuple[int, str]]:
-    """Line number and normalised word of each word-list line that holds one."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line_no, _prepare(line, case_fold)
 
 
 def _encode(text: str, symbols: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +127,11 @@ def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> np.n
     and is skipped otherwise. A letter containing ``"\\n"`` can never occur
     in a line, so it takes no part in splitting words.
     """
-    words = list(dict.fromkeys(word for _, word in _entries(text, inv.case_fold)))
+    # One pass over the whole text gives each line's normal form: NFC and
+    # lower() keep every line break and every whitespace character, and
+    # neither composes, reorders or case-maps across one.
+    text = _prepare(text, inv.case_fold)
+    words = [w for w in dict.fromkeys(map(str.strip, text.splitlines())) if w and w[0] != "#"]
     letters = [s for s in inv.letters if "\n" not in s]
     sizes, unknown = _word_counts(words, letters)
     if strict and unknown.any():
@@ -174,7 +139,7 @@ def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> np.n
         codes, starts = _encode(words[first], letters)
         symbol = words[first][np.argmax(starts & (codes == len(letters)))]
         what = "separator" if symbol == inv.separator else f"symbol {symbol!r}"
-        line_no = next(n for n, word in _entries(text, inv.case_fold) if word == words[first])
+        line_no = 1 + list(map(str.strip, text.splitlines())).index(words[first])
         raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
     return sizes[unknown == 0]
 
@@ -224,4 +189,4 @@ def word_length_histogram(
     for lo in range(0, arr.size, _SLICE_LENGTHS):
         top = np.minimum(arr[lo : lo + _SLICE_LENGTHS], max_length + 1)
         binned += np.bincount(top, minlength=max_length + 2)
-    return WordLengthHistogram(binned[1:-1], max_length, int(binned[-1]), label=label)
+    return WordLengthHistogram(binned[1:-1].tolist(), max_length, int(binned[-1]), label=label)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .ingest import WordLengthHistogram
+    from .report import WordLengthHistogram
 
 EXPECTED_FLOOR = 1e-6
 # fit_p's search: the p range, its grid step, and the refinement tolerance
@@ -307,16 +307,18 @@ def reliable_length_limit(p: float) -> float:
 
 def observed_mean(hist: WordLengthHistogram) -> float:
     """Mean length of the observed histogram (overflow cells excluded)."""
-    total = int(hist.counts.sum())
+    counts = np.asarray(hist.counts, dtype=np.int64)
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("empty histogram")
     lengths = np.arange(1, hist.max_length + 1, dtype=float)
-    return float((lengths * hist.counts).sum() / total)
+    return float((lengths * counts).sum() / total)
 
 
 def observed_stddev(hist: WordLengthHistogram) -> float:
     """Standard deviation of the observed histogram (overflow excluded)."""
     mean = observed_mean(hist)
+    counts = np.asarray(hist.counts, dtype=np.int64)
     lengths = np.arange(1, hist.max_length + 1, dtype=float)
-    var = float((((lengths - mean) ** 2) * hist.counts).sum() / int(hist.counts.sum()))
+    var = float((((lengths - mean) ** 2) * counts).sum() / int(counts.sum()))
     return math.sqrt(var)

@@ -7,6 +7,9 @@ full double precision, so the JSON and CSV of a run always carry the same
 content up to that documented entropy rounding. All CSV is UTF-8 with LF
 line endings and '.' decimals; leading ``#`` lines carry flags such as
 ``source=simulated``.
+
+``WordLengthHistogram`` lives here, beside the artifacts that write and
+read it, and holds Python ints, so a histogram CSV is read without numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -23,7 +26,6 @@ from .inventory import read_utf8
 
 if TYPE_CHECKING:
     from .bridge import ImpliedEntropyRow
-    from .ingest import WordLengthHistogram
     from .lengthmodel import FittedLengthModel
     from .ngram import EntropyProfile
     from .simulate import SimulationConfig
@@ -32,6 +34,38 @@ if TYPE_CHECKING:
 DEFAULT_SCALE_A = 7.45
 # columns printed at table precision in CSV
 ENTROPY_COLUMNS = frozenset({"entropy_bits"})
+
+
+@dataclass(frozen=True)
+class WordLengthHistogram:
+    """Word counts per length 1..max_length, plus an overflow tally.
+
+    ``counts[N-1]`` is the number of words of exactly N symbols, a Python
+    int; words longer than ``max_length`` land in ``overflow`` so that
+    ``sum(counts) + overflow`` equals the number of lengths binned.
+    """
+
+    counts: tuple[int, ...]
+    max_length: int
+    overflow: int = 0
+    label: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        counts = tuple(map(int, self.counts))
+        object.__setattr__(self, "counts", counts)
+        if self.max_length < 1 or len(counts) != self.max_length:
+            raise ValueError("counts must have one cell per length 1..max_length")
+        if min(counts, default=0) < 0 or self.overflow < 0:
+            raise ValueError("negative count")
+
+    def count(self, length: int) -> int:
+        """Count of words of exactly ``length`` symbols (1-based)."""
+        if not 1 <= length <= self.max_length:
+            raise IndexError(f"length {length} outside 1..{self.max_length}")
+        return self.counts[length - 1]
+
+    def total(self) -> int:
+        return sum(self.counts) + self.overflow
 
 
 @dataclass(frozen=True)
@@ -94,7 +128,7 @@ def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> A
         "source": source,
         "label": hist.label,
         "max_length": hist.max_length,
-        "counts": [int(c) for c in hist.counts],
+        "counts": list(hist.counts),
         "overflow": hist.overflow,
     }
     return Artifact(payload, tuple(comments), ("length", "count"), tuple(rows))
@@ -106,8 +140,6 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     The data rows must list each length 1..N exactly once, and overflow at
     most once.
     """
-    from .ingest import WordLengthHistogram
-
     label = ""
     counts: dict[int, int] = {}
     overflow = None

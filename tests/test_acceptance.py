@@ -16,8 +16,8 @@ import pytest
 
 from wordlen import bridge, lengthmodel as lm
 from wordlen.cli import main as cli_main
-from wordlen.ingest import WordLengthHistogram
 from wordlen.ngram import entropy_profile
+from wordlen.report import WordLengthHistogram
 from wordlen.simulate import SimulationConfig, draw_word_lengths
 
 import conftest

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordlen import bridge
-from wordlen.ingest import WordLengthHistogram
 from wordlen.lengthmodel import model_count
+from wordlen.report import WordLengthHistogram
 
 from reference_tables import IMPLIED_ENTROPY_ROWS
 

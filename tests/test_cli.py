@@ -11,22 +11,25 @@ import numpy as np
 import pytest
 
 import wordlen
-from wordlen import cli
+from wordlen import cli, simulate
 from wordlen.cli import main
 from wordlen.report import Artifact, read_histogram_csv
 
 SRC = str(Path(wordlen.__file__).resolve().parents[1])
+# read when numpy loads; a child sees them only where a test sets them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run(args):
     return main([str(a) for a in args])
 
 
-def run_python(*args):
-    """A fresh interpreter that imports this checkout's ``wordlen``."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    return subprocess.run([sys.executable, *map(str, args)], capture_output=True,
-                          text=True, env=env, check=False)
+def run_python(*args, env=None):
+    """A fresh interpreter that imports this checkout's ``wordlen``, with the
+    variables in ``env`` added and no BLAS thread count inherited."""
+    inherited = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env={**inherited, "PYTHONPATH": SRC, **(env or {})}, check=False)
 
 
 def parse_csv(path):
@@ -285,6 +288,13 @@ class TestPredictCommand:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"wordlen predict: {profile}: {problem}"]
 
+    def test_non_integer_order_names_flag_and_value(self, tmp_path, capsys):
+        profile = tmp_path / "p.json"
+        profile.write_text('{"orders": [{"order": 2, "entropy_bits": 3.5}]}', encoding="utf-8")
+        assert run(["predict", "--profile", profile, "--orders", "2, x"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "wordlen predict: --orders: 'x' is not a whole number"]
+
     def test_zero_entropy_predicts_one_string(self, capsys):
         assert run(["predict", "--entropy-bits", "0", "--length", "9"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("9,0.00,1.0,1")
@@ -521,6 +531,48 @@ def test_predict_loads_neither_numpy_nor_scipy(tmp_path):
         loaded = packages_loaded_by("predict", *argv, "--out", tmp_path / "out.csv")
         assert "wordlen" in loaded
         assert not loaded & {"numpy", "scipy"}, argv
+
+
+def test_implied_from_histogram_loads_no_numpy(tmp_path):
+    hist = tmp_path / "h.csv"
+    hist.write_text("length,count\n1,5\n2,7\noverflow,0\n", encoding="utf-8")
+    loaded = packages_loaded_by("implied", "--histogram", hist, "--out", tmp_path / "i.csv")
+    assert "wordlen" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are read from /proc")
+def test_numpy_commands_start_no_blas_thread(reference_style_wordlist, tmp_path):
+    code = ("import os, sys; from wordlen.cli import main; code = main(sys.argv[1:]); "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS']); "
+            "sys.exit(code)")
+    argv = ["histogram", reference_style_wordlist, "--out", tmp_path / "h.csv"]
+    proc = run_python("-c", code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+    # a thread count the caller set is left as it is
+    proc = run_python("-c", code, *argv, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["histogram", "words.txt"],
+    ["fit", "words.txt"],
+    ["implied", "words.txt"],
+    ["simulate", "--p", "0.5", "--symbols", "27", "--words", "100000000"],
+], ids=lambda argv: argv[0])
+def test_max_length_is_checked_before_any_work(monkeypatch, capsys, tmp_path, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before --max-length was checked")
+
+    for module, name in ((cli, "read_utf8"), (cli, "load_wordlist"),
+                         (simulate, "draw_word_lengths")):
+        monkeypatch.setattr(module, name, unreachable)
+    (tmp_path / "words.txt").write_text("a\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--max-length", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"wordlen {argv[0]}: max_length must be >= 1"]
 
 
 def test_fit_does_not_load_scipy(model_wordlist, tmp_path):

@@ -11,18 +11,30 @@ from wordlen import ingest
 from wordlen.ingest import (
     SymbolStream,
     TokenizationError,
-    WordLengthHistogram,
     load_corpus,
     load_wordlist,
     word_length_histogram,
 )
 from wordlen.inventory import build_inventory, preset_inventory
 from wordlen.ngram import entropy_profile
+from wordlen.report import WordLengthHistogram
 
 ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
 # "abc" splits greedily as ab + c; only backtracking would find a + bc
 OVERLAPPING = build_inventory(["a", "ab", "bc"])
+# multigraphs over letters that normalisation composes, decomposes or case-maps
+ACCENTED = build_inventory(["a", "c", "ch", "e", "é", "ë", "i", "i\u0307", "s", "ss", "ß",
+                            "σ", "ς", "\u0301"])
+# every str.splitlines break, whitespace that NFC rewrites (U+2000 -> U+2002),
+# combining marks that may start a line, and letters whose lower() depends on
+# context (final sigma) or changes length (İ -> i + U+0307)
+NORMALISATION_PIECES = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    " ", "\t", "\u2000", "\u2001", "\u3000", "#",
+    "\u0301", "\u0307", "\u0308", "a", "A", "c", "h", "CH", "e", "E", "é", "É", "s", "S",
+    "Σ", "σ", "ς", "i", "I", "İ", "ß", "-",
+]
 
 
 def render_stream(stream, inv):
@@ -48,12 +60,14 @@ def greedy_reference(text, inv, strict):
     return out[:-1] if out and out[-1] == sep else out
 
 
-def wordlist_reference(text, inv):
+def wordlist_reference(text, inv, strict=False):
     """Symbol lengths of the distinct words a word list keeps, in first-seen
-    order, by a position-by-position longest match of each line."""
+    order, by a position-by-position longest match of each line. In strict
+    mode the first line whose word holds a character no letter matches
+    raises, naming that character."""
     letters = sorted((s for s in inv.letters if "\n" not in s), key=len, reverse=True)
     seen, lengths = set(), []
-    for line in text.splitlines():
+    for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -66,11 +80,23 @@ def wordlist_reference(text, inv):
         while pos < len(word):
             sym = next((s for s in letters if word.startswith(s, pos)), None)
             if sym is None:
+                if strict:
+                    bad = word[pos]
+                    what = "separator" if bad == inv.separator else f"symbol {bad!r}"
+                    raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
                 break
             pos, count = pos + len(sym), count + 1
         else:
             lengths.append(count)
     return lengths
+
+
+def wordlist_outcome(load, text, inv, strict):
+    """The lengths ``load`` returns, or the message and line it raises."""
+    try:
+        return list(load(text, inv, strict=strict))
+    except TokenizationError as err:
+        return str(err), err.line
 
 
 def count_table_builds(monkeypatch):
@@ -161,7 +187,19 @@ class TestWordlist:
         assume(separator not in letters)
         inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
         text = data.draw(st.text(alphabet="abcé𝔞A _|-#\n\r\x0b", max_size=40))
-        assert load_wordlist(text, inv).tolist() == wordlist_reference(text, inv)
+        for strict in (False, True):
+            assert (wordlist_outcome(load_wordlist, text, inv, strict)
+                    == wordlist_outcome(wordlist_reference, text, inv, strict))
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([ENGLISH, SWAHILI, ACCENTED]),
+           st.lists(st.sampled_from(NORMALISATION_PIECES), max_size=30).map("".join))
+    def test_one_pass_normalisation_matches_per_line(self, inv, text):
+        # the whole text is normalised at once; the reference strips, skips,
+        # NFC-normalises and lowercases each line on its own
+        for strict in (False, True):
+            assert (wordlist_outcome(load_wordlist, text, inv, strict)
+                    == wordlist_outcome(wordlist_reference, text, inv, strict))
 
     def test_letter_with_line_break_never_joins_two_words(self):
         inv = build_inventory(["a", "b", "a\nb"])
@@ -272,7 +310,7 @@ class TestHistogram:
 
     def test_empty_set_all_zero(self):
         hist = word_length_histogram(load_wordlist("", ENGLISH), 5)
-        assert hist.counts.sum() == 0 and hist.overflow == 0
+        assert sum(hist.counts) == 0 and hist.overflow == 0
         assert word_length_histogram([], 5).total() == 0
 
     def test_overflow_tally(self):
@@ -294,9 +332,9 @@ class TestHistogram:
     def test_totals_invariant(self, lengths, max_length):
         hist = word_length_histogram(np.array(lengths, dtype=np.uint8), max_length)
         want = collections.Counter(lengths)
-        assert hist.counts.tolist() == [want[n] for n in range(1, max_length + 1)]
+        assert list(hist.counts) == [want[n] for n in range(1, max_length + 1)]
         assert hist.overflow == sum(c for n, c in want.items() if n > max_length)
-        assert hist.counts.sum() + hist.overflow == len(lengths)
+        assert sum(hist.counts) + hist.overflow == len(lengths)
 
     @pytest.mark.parametrize("slice_lengths", [1, 3, 64])
     def test_counts_do_not_depend_on_slice_size(self, monkeypatch, slice_lengths):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordlen import lengthmodel as lm
-from wordlen.ingest import WordLengthHistogram
+from wordlen.report import WordLengthHistogram
 
 from reference_tables import (
     LANGUAGE_FITS,

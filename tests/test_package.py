@@ -28,3 +28,10 @@ def test_readme_quickstart_loads_layers_on_first_use():
                             "w.fit_p is sys.modules['wordlen.lengthmodel'].fit_p)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True", "True"]
+
+
+def test_histogram_type_loads_no_numpy():
+    proc = run_python("-c", "import sys, wordlen; wordlen.WordLengthHistogram; "
+                            "print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

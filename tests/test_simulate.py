@@ -104,7 +104,7 @@ class TestEmpiricalDistribution:
 
     def test_single_value_single_cell(self):
         hist = word_length_histogram([4, 4, 4], 4, label="simulated")
-        assert hist.count(4) == 3 and hist.counts.sum() == 3
+        assert hist.count(4) == 3 and sum(hist.counts) == 3
 
     def test_explicit_max_length_overflows(self):
         hist = word_length_histogram([1, 2, 9], 5, label="simulated")
