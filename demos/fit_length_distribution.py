@@ -13,8 +13,6 @@ import itertools
 import string
 import sys
 
-import numpy as np
-
 from wordlen import (
     fit_p,
     load_wordlist,
@@ -35,11 +33,11 @@ SYMBOLS = 27
 
 
 def synthetic_dictionary():
-    counts = np.round(model_histogram(SYMBOLS, TRUE_P, 50)).astype(int)
+    counts = [round(c) for c in model_histogram(SYMBOLS, TRUE_P, 50)]
     words = []
     for length, count in enumerate(counts, start=1):
         for combo in itertools.islice(
-            itertools.product(string.ascii_lowercase, repeat=length), int(count)
+            itertools.product(string.ascii_lowercase, repeat=length), count
         ):
             words.append("".join(combo))
     return words
@@ -75,7 +73,7 @@ def main():
     print("\nlength  observed  fitted")
     expected = model_histogram(inv.symbol_count, model.p, hist.max_length)
     for n in range(1, 16):
-        bar = "*" * int(40 * expected[n - 1] / expected.max())
+        bar = "*" * int(40 * expected[n - 1] / max(expected))
         print(f"{n:>6}  {hist.count(n):>8}  {expected[n-1]:>8.1f}  {bar}")
 
 

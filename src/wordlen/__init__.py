@@ -50,7 +50,6 @@ _HOMES = {
         "chi_square_p_value",
         "chi_square_stat",
         "fit_p",
-        "fit_scale_constant",
         "longest_word_estimate",
         "mean_approx",
         "mean_exact",

@@ -6,11 +6,12 @@ between entropies and word counts, and ``simulate`` runs the bag model.
 Every subcommand is deterministic given its inputs (and seed) and writes
 one artifact as CSV or JSON.
 
-A subcommand imports only the layers it runs: ``predict`` loads no numpy.
-The layer functions ``load_wordlist``, ``word_length_histogram``,
-``load_corpus`` and ``entropy_profile`` are attributes of this module,
-loaded on first access, and the commands call them through the module, so
-replacing one here (to trace or count calls) reaches every command.
+A subcommand imports only the layers it runs, and only ``entropy`` and
+``simulate`` load numpy. The layer functions ``load_wordlist``,
+``word_length_histogram``, ``load_corpus`` and ``entropy_profile`` are
+attributes of this module, loaded on first access, and the commands call
+them through the module, so replacing one here (to trace or count calls)
+reaches every command.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bridge, report, simulate
+from . import bridge, lengthmodel, report, simulate
 from .inventory import PRESET_NAMES, SymbolInventory, read_utf8, resolve_inventory
 from .report import WordLengthHistogram
 
@@ -113,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_imp.add_argument("--max-length", type=int, default=50)
     p_imp.add_argument("--label", default="")
     _add_common(p_imp)
+    # left unset unless given, so that --histogram can refuse them
+    p_imp.set_defaults(max_length=None, inventory=None)
 
     p_sim = sub.add_parser("simulate", help="bag-model word generation")
     p_sim.add_argument("--p", type=float, required=True,
@@ -144,8 +147,6 @@ def _cmd_histogram(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from . import lengthmodel
-
     inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
     artifact = report.fit_artifact(hist, model, label=args.label, scale_a=args.scale_a)
@@ -192,8 +193,16 @@ def _cmd_predict(args) -> int:
 
 def _cmd_implied(args) -> int:
     if args.histogram:
+        given = [flag for flag, on in (
+            ("a word list", bool(args.wordlist)), ("--max-length", args.max_length is not None),
+            ("--inventory", args.inventory is not None), ("--strict", args.strict),
+        ) if on]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be used with --histogram")
         hist = report.read_histogram_csv(args.histogram)
     elif args.wordlist:
+        args.inventory = args.inventory or "english"
+        args.max_length = 50 if args.max_length is None else args.max_length
         _, hist = _wordlist_histogram(args)
     else:
         raise ValueError("give a word list or --histogram")
@@ -209,7 +218,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed, mode=args.mode,
     )
     lengths = simulate.draw_word_lengths(cfg)
-    hist = _cli.word_length_histogram(lengths, args.max_length, label="simulated")
+    # a memoryview yields the lengths as Python ints without copying them
+    hist = _cli.word_length_histogram(memoryview(lengths), args.max_length, label="simulated")
     artifact = report.simulation_artifact(cfg, hist, float(lengths.mean()))
     report.write_artifact(artifact, args.format, args.out)
     return 0
@@ -225,18 +235,6 @@ _COMMANDS = {
 }
 
 
-def _reported_errors() -> tuple[type[Exception], ...]:
-    """The errors a command reports in one line on stderr.
-
-    ``InventoryError`` and ``TokenizationError`` are ``ValueError``s.
-    ``FitError`` is looked up only once a command has failed, so no command
-    loads ``lengthmodel`` to succeed.
-    """
-    from .lengthmodel import FitError
-
-    return OSError, ValueError, FitError
-
-
 def main(argv: list[str] | None = None) -> int:
     # No command makes a BLAS call, but OpenBLAS starts a worker thread when
     # numpy loads, and that thread busy-waits on the CPUs the command needs
@@ -246,10 +244,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # checked before any input is read or any word is drawn
-        if getattr(args, "max_length", 1) < 1:
+        max_length = getattr(args, "max_length", None)  # None: implied left it unset
+        if max_length is not None and max_length < 1:
             raise ValueError("max_length must be >= 1")
         return _COMMANDS[args.command](args)
-    except _reported_errors() as err:
+    # InventoryError and TokenizationError are ValueErrors
+    except (OSError, ValueError, lengthmodel.FitError) as err:
         print(f"wordlen {args.command}: {err}", file=sys.stderr)
         return 1
 

@@ -1,27 +1,28 @@
-"""Load word lists and corpora into symbol-index form.
+"""Load word lists and corpora into symbol form.
 
 Word lists (one word per line, ``#`` comments allowed) become the length
 in symbols of each distinct normalised word; corpora become flat streams
-of symbol indices with single separators between words. Both split text
-in one place, ``_encode``: a table maps each code point to its symbol
-code, and one regex over the multi-character symbols, longest first,
-overrides it where such a symbol starts.
+of symbol indices with single separators between words. Both split text by
+one greedy rule, ``_multigraph_pattern``: a regex over the multi-character
+symbols, longest first, takes such a symbol wherever one starts, and every
+other character is a symbol of its own. A word list needs only lengths, so
+it is read in plain Python; a corpus is coded into a numpy array, which is
+imported only when one is loaded.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .inventory import SymbolInventory
 from .report import WordLengthHistogram
 
-# lengths binned per slice
-_SLICE_LENGTHS = 1 << 16
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TokenizationError(ValueError):
@@ -48,6 +49,8 @@ class SymbolStream:
         return int(self.symbols.size)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         sym = np.asarray(self.symbols)
         if sym.dtype.kind not in "iu":  # keep the loader's narrow integer dtype
             sym = sym.astype(np.int64)
@@ -64,17 +67,28 @@ def _prepare(text: str, case_fold: bool) -> str:
     return text.lower() if case_fold else text
 
 
+def _multigraph_pattern(symbols: Sequence[str]) -> re.Pattern | None:
+    """Regex over the symbols longer than one character, longest first, or
+    None when there are none.
+
+    Alternatives are tried in order without backtracking, so each position
+    takes the longest symbol that starts there.
+    """
+    multi = sorted((s for s in symbols if len(s) > 1), key=len, reverse=True)
+    return re.compile("|".join(map(re.escape, multi))) if multi else None
+
+
 def _encode(text: str, symbols: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Split ``text`` into ``symbols`` by greedy longest match.
 
     Returns one code per code point of ``text`` and a mask of the positions
     where a token starts. A token is ``symbols[i]`` (code ``i``) or one
     character no symbol matches (code ``len(symbols)``). A table codes every
-    code point; then one regex over the longer symbols, longest first,
-    overwrites the code at each match's start and drops the rest of the
-    match. Alternatives are tried in order without backtracking, so each
-    position takes the longest symbol that starts there.
+    code point; then ``_multigraph_pattern`` overwrites the code at each
+    match's start and drops the rest of the match.
     """
+    import numpy as np
+
     unknown = len(symbols)
     table = np.full(0x110000, unknown, dtype=np.min_scalar_type(unknown))
     index = {s: i for i, s in enumerate(symbols)}
@@ -84,64 +98,46 @@ def _encode(text: str, symbols: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     codes = table[points]
     starts = np.ones(codes.size, dtype=bool)
-    multi = sorted((s for s in symbols if len(s) > 1), key=len, reverse=True)
-    if multi:
-        pattern = re.compile("|".join(map(re.escape, multi)))
+    pattern = _multigraph_pattern(symbols)
+    if pattern is not None:
         at = np.fromiter(map(re.Match.start, pattern.finditer(text)), dtype=np.intp)
         found = np.fromiter(map(index.__getitem__, map(re.Match.group, pattern.finditer(text))),
                             dtype=codes.dtype, count=at.size)
         codes[at] = found
         lengths = np.array([len(s) for s in symbols])[found]
-        for k in range(1, len(multi[0])):
+        for k in range(1, max(map(len, symbols))):
             starts[at[lengths > k] + k] = False
     return codes, starts
 
 
-def _word_counts(words: list[str], letters: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols and unknown characters in each word, from one pass over all of them.
-
-    The words are joined by ``"\\n"``, which no letter here contains; each
-    word's sums start at its offset, and the joins are excluded by position.
-    """
-    spans = np.fromiter(map(len, words), dtype=np.intp, count=len(words)) + 1
-    if not words:
-        return spans, spans  # both empty
-    codes, starts = _encode("\n".join(words), letters)
-    offsets = np.cumsum(spans) - spans
-    starts[offsets[1:] - 1] = False
-    unknown = starts & (codes == len(letters))
-    narrow = np.min_scalar_type(spans.max())  # no count exceeds its word's span
-    return (np.add.reduceat(starts, offsets, dtype=narrow),
-            np.add.reduceat(unknown, offsets, dtype=narrow))
-
-
-def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> np.ndarray:
+def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list[int]:
     """Symbol length of each distinct word of a one-word-per-line list, in
-    the order the words first occur, in an unsigned dtype no wider than the
-    longest word needs.
+    the order the words first occur.
 
     Lines end where ``str.splitlines`` breaks them. They are stripped and
     NFC-normalized (lowercased when the inventory folds case); blank lines
     and ``#`` comments are skipped; duplicates collapse. A word using a
     symbol outside the inventory aborts with its line number in strict mode
-    and is skipped otherwise. A letter containing ``"\\n"`` can never occur
-    in a line, so it takes no part in splitting words.
+    and is skipped otherwise.
     """
     # One pass over the whole text gives each line's normal form: NFC and
     # lower() keep every line break and every whitespace character, and
     # neither composes, reorders or case-maps across one.
     text = _prepare(text, inv.case_fold)
     words = [w for w in dict.fromkeys(map(str.strip, text.splitlines())) if w and w[0] != "#"]
-    letters = [s for s in inv.letters if "\n" not in s]
-    sizes, unknown = _word_counts(words, letters)
-    if strict and unknown.any():
-        first = int(np.argmax(unknown > 0))
-        codes, starts = _encode(words[first], letters)
-        symbol = words[first][np.argmax(starts & (codes == len(letters)))]
+    # A multigraph is one symbol: each match becomes "\n", which no line
+    # holds, and a word is valid when every character left is a letter.
+    pattern = _multigraph_pattern(inv.letters)
+    marked = [pattern.sub("\n", w) for w in words] if pattern else words
+    allowed = {s for s in inv.letters if len(s) == 1} | {"\n"}
+    lengths = [len(m) for m in marked if allowed.issuperset(m)]
+    if strict and len(lengths) < len(words):
+        word, rest = next((w, m) for w, m in zip(words, marked) if not allowed.issuperset(m))
+        symbol = next(c for c in rest if c not in allowed)
         what = "separator" if symbol == inv.separator else f"symbol {symbol!r}"
-        line_no = 1 + list(map(str.strip, text.splitlines())).index(words[first])
+        line_no = 1 + list(map(str.strip, text.splitlines())).index(word)
         raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
-    return sizes[unknown == 0]
+    return lengths
 
 
 def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> SymbolStream:
@@ -152,6 +148,8 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     that whitespace always counts as a separator. Separator runs collapse
     to one and leading/trailing separators are trimmed.
     """
+    import numpy as np
+
     text = _prepare(text, inv.case_fold)
     codes, starts = _encode(text, inv.symbols)
     unknown = inv.symbol_count
@@ -175,18 +173,14 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
 
 
 def word_length_histogram(
-    lengths, max_length: int = 50, label: str = ""
+    lengths: Iterable[int], max_length: int = 50, label: str = ""
 ) -> WordLengthHistogram:
     """Histogram of word lengths (each >= 1); lengths beyond max_length overflow."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    arr = np.asarray(lengths, dtype=np.int64)
-    if arr.size and arr.min() < 1:
+    tally = Counter(lengths)
+    if min(tally, default=1) < 1:
         raise ValueError("lengths must be >= 1")
-    # clipped and counted one slice at a time, so neither a long length nor
-    # a long input costs memory in proportion to it
-    binned = np.zeros(max_length + 2, dtype=np.int64)
-    for lo in range(0, arr.size, _SLICE_LENGTHS):
-        top = np.minimum(arr[lo : lo + _SLICE_LENGTHS], max_length + 1)
-        binned += np.bincount(top, minlength=max_length + 2)
-    return WordLengthHistogram(binned[1:-1].tolist(), max_length, int(binned[-1]), label=label)
+    counts = [tally[n] for n in range(1, max_length + 1)]
+    overflow = sum(c for n, c in tally.items() if n > max_length)
+    return WordLengthHistogram(counts, max_length, overflow, label=label)

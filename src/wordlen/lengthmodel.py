@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .report import WordLengthHistogram
@@ -61,30 +59,26 @@ def model_count(symbols: int, p: float, length: int) -> float:
     return max(float(symbols) ** (length * p**length) - 1.0, 0.0)
 
 
-def model_histogram(symbols: int, p: float, max_length: int) -> np.ndarray:
-    """Model counts for lengths 1..max_length as a float vector."""
-    _check_domain(symbols, p)
+def model_histogram(symbols: int, p: float, max_length: int) -> list[float]:
+    """Model counts for lengths 1..max_length."""
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    n = np.arange(1, max_length + 1, dtype=float)
-    return np.maximum(float(symbols) ** (n * p**n) - 1.0, 0.0)
+    return [model_count(symbols, p, n) for n in range(1, max_length + 1)]
 
 
-def chi_square_stat(observed, expected) -> float:
+def chi_square_stat(observed: Sequence[float], expected: Sequence[float]) -> float:
     """Pearson statistic sum((obs-exp)^2 / exp) over all cells.
 
     Expected cells are floored at 1e-6 before dividing: the model reaches
     ~0 for long words while a dictionary may still contain one, and an
     unfloored cell there would blow up the statistic on a rounding artifact.
     """
-    obs = np.asarray(observed, dtype=float)
-    exp = np.asarray(expected, dtype=float)
-    if obs.shape != exp.shape:
+    if len(observed) != len(expected):
         raise ValueError("observed and expected must have equal length")
-    if np.any(exp < 0.0):
+    if min(expected, default=0.0) < 0.0:
         raise ValueError("negative expected count")
-    exp = np.maximum(exp, EXPECTED_FLOOR)
-    return float(np.sum((obs - exp) ** 2 / exp))
+    floored = [max(e, EXPECTED_FLOOR) for e in expected]
+    return math.fsum((o - e) * (o - e) / e for o, e in zip(observed, floored))
 
 
 def chi_square_p_value(stat: float, df: int) -> float:
@@ -176,22 +170,22 @@ def fit_p(
     Degrees of freedom are (cells - 2): one fitted parameter plus one
     normalization.
     """
-    obs = np.asarray(hist.counts, dtype=float)
-    if np.count_nonzero(obs) < 3:
+    nonzero = [n for n, c in enumerate(hist.counts, start=1) if c]
+    if len(nonzero) < 3:
         raise FitError("histogram needs at least 3 nonzero cells to fit")
-    if trim_tail:
-        obs = obs[: int(np.nonzero(obs)[0][-1]) + 1]
+    obs = hist.counts[: nonzero[-1]] if trim_tail else hist.counts
     cells = len(obs)
-    if cells < 3:
-        raise FitError("too few cells after trimming")
 
     def objective(p: float) -> float:
         return chi_square_stat(obs, model_histogram(symbols, p, cells))
 
     lo, hi = P_BOUNDS
-    grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
+    # the points numpy.arange(lo, hi + GRID_STEP / 2, GRID_STEP) gives: it
+    # steps by (lo + GRID_STEP) - lo, which is not GRID_STEP in binary
+    step = (lo + GRID_STEP) - lo
+    grid = [lo + i * step for i in range(round((hi - lo) / GRID_STEP) + 1)]
     values = [objective(p) for p in grid]
-    best = int(np.argmin(values))
+    best = values.index(min(values))
     if best == 0 or best == len(grid) - 1:
         raise FitError(
             f"chi-square minimum sits at the p={grid[best]:.3f} search edge; "
@@ -206,11 +200,10 @@ def fit_p(
 def mean_exact(symbols: int, p: float, max_length: int) -> float:
     """Mean word length of the model distribution over lengths 1..max_length."""
     weights = model_histogram(symbols, p, max_length)
-    total = weights.sum()
+    total = math.fsum(weights)
     if total <= 0.0:
         raise ValueError("model carries no mass on 1..max_length at this p")
-    lengths = np.arange(1, max_length + 1, dtype=float)
-    return float((lengths * weights).sum() / total)
+    return math.fsum(n * w for n, w in enumerate(weights, start=1)) / total
 
 
 def mean_approx(p: float) -> float:
@@ -249,23 +242,6 @@ def solve_b(symbols: int, p: float, scale_a: float, vocab_observed: float) -> fl
         raise ValueError("observed vocabulary must exceed scale_a for a positive b")
     log_l = math.log(symbols)
     return math.log(vocab_observed / scale_a) / (log_l * log_l * p / (1.0 - p))
-
-
-def fit_scale_constant(observations) -> tuple[float, float]:
-    """Refit the shared scale A (and a common b) across several languages.
-
-    ``observations`` is an iterable of (symbols, p, vocab_observed) triples.
-    Regresses ln(V) on s = ln(L)^2 * p/(1-p), giving intercept ln(A) and
-    slope b. Off by default everywhere; the stock value is
-    ``report.DEFAULT_SCALE_A``.
-    """
-    rows = [(math.log(l) ** 2 * p / (1.0 - p), math.log(v)) for l, p, v in observations]
-    if len(rows) < 2:
-        raise ValueError("need at least two observations to regress")
-    s = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
-    slope, intercept = np.polyfit(s, y, 1)
-    return float(math.exp(intercept)), float(slope)
 
 
 def longest_word_estimate(symbols: int, p: float) -> float:
@@ -307,18 +283,15 @@ def reliable_length_limit(p: float) -> float:
 
 def observed_mean(hist: WordLengthHistogram) -> float:
     """Mean length of the observed histogram (overflow cells excluded)."""
-    counts = np.asarray(hist.counts, dtype=np.int64)
-    total = int(counts.sum())
+    total = sum(hist.counts)
     if total == 0:
         raise ValueError("empty histogram")
-    lengths = np.arange(1, hist.max_length + 1, dtype=float)
-    return float((lengths * counts).sum() / total)
+    return sum(n * c for n, c in enumerate(hist.counts, start=1)) / total
 
 
 def observed_stddev(hist: WordLengthHistogram) -> float:
     """Standard deviation of the observed histogram (overflow excluded)."""
     mean = observed_mean(hist)
-    counts = np.asarray(hist.counts, dtype=np.int64)
-    lengths = np.arange(1, hist.max_length + 1, dtype=float)
-    var = float((((lengths - mean) ** 2) * counts).sum() / int(counts.sum()))
+    var = math.fsum((n - mean) * (n - mean) * c
+                    for n, c in enumerate(hist.counts, start=1)) / sum(hist.counts)
     return math.sqrt(var)

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import lengthmodel
 from .inventory import read_utf8
 
 if TYPE_CHECKING:
     from .bridge import ImpliedEntropyRow
-    from .lengthmodel import FittedLengthModel
     from .ngram import EntropyProfile
     from .simulate import SimulationConfig
 
@@ -98,8 +98,6 @@ class Artifact:
 def _cell(value, column: str) -> str:
     if value is None:
         return ""
-    if hasattr(value, "item"):  # a numpy scalar: print the Python scalar it holds
-        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -184,7 +182,7 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
 
 def fit_artifact(
     hist: WordLengthHistogram,
-    model: FittedLengthModel,
+    model: lengthmodel.FittedLengthModel,
     label: str = "",
     scale_a: float = DEFAULT_SCALE_A,
 ) -> Artifact:
@@ -195,8 +193,6 @@ def fit_artifact(
     The vocabulary exponent is solved from the observed vocabulary size and
     is omitted when the vocabulary is too small to exceed ``scale_a``.
     """
-    from . import lengthmodel
-
     if not 0.0 < scale_a < math.inf:  # also false for NaN
         raise ValueError(f"scale_a must be finite and > 0, got {scale_a}")
     symbols, p = model.symbols, model.p
@@ -236,18 +232,18 @@ def fit_artifact(
     return Artifact(payload, (), header, (tuple(payload.values()),))
 
 
-def fit_curve_artifact(hist: WordLengthHistogram, model: FittedLengthModel) -> Artifact:
+def fit_curve_artifact(
+    hist: WordLengthHistogram, model: lengthmodel.FittedLengthModel
+) -> Artifact:
     """Observed vs fitted counts per length, for plotting.
 
     Lengths beyond mean+sigma are marked unreliable: the model is known to
     overestimate well past the mean.
     """
-    from . import lengthmodel
-
     expected = lengthmodel.model_histogram(model.symbols, model.p, hist.max_length)
     limit = lengthmodel.reliable_length_limit(model.p)
     rows = [
-        (n, hist.count(n), float(expected[n - 1]), n <= limit)
+        (n, hist.count(n), expected[n - 1], n <= limit)
         for n in range(1, hist.max_length + 1)
     ]
     payload = {

@@ -337,6 +337,21 @@ class TestImpliedCommand:
         assert run(["implied"]) == 1
         assert "histogram" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--max-length", "3"], "--max-length"),
+        (["--inventory", "nosuch"], "--inventory"),
+        (["--strict"], "--strict"),
+        (["words.txt"], "a word list"),
+        (["--max-length", "50", "--strict", "--inventory", "english"],
+         "--max-length, --inventory, --strict"),
+    ], ids=["max-length", "inventory", "strict", "wordlist", "all"])
+    def test_histogram_refuses_the_flags_it_ignores(self, tmp_path, capsys, flags, named):
+        # the histogram file is missing: it is refused before any file is read
+        missing = tmp_path / "missing.csv"
+        assert run(["implied", "--histogram", missing, *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"wordlen implied: {named} cannot be used with --histogram"]
+
     def test_byte_order_mark_histogram(self, tmp_path):
         hist = tmp_path / "h.csv"
         hist.write_bytes(b"\xef\xbb\xbflength,count\n1,5\n2,7\noverflow,0\n")
@@ -541,11 +556,12 @@ def test_implied_from_histogram_loads_no_numpy(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are read from /proc")
-def test_numpy_commands_start_no_blas_thread(reference_style_wordlist, tmp_path):
+def test_numpy_commands_start_no_blas_thread(tmp_path):
     code = ("import os, sys; from wordlen.cli import main; code = main(sys.argv[1:]); "
             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS']); "
             "sys.exit(code)")
-    argv = ["histogram", reference_style_wordlist, "--out", tmp_path / "h.csv"]
+    argv = ["simulate", "--p", "0.5", "--symbols", "27", "--words", "100",
+            "--out", tmp_path / "s.csv"]
     proc = run_python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1"]
@@ -576,8 +592,59 @@ def test_max_length_is_checked_before_any_work(monkeypatch, capsys, tmp_path, ar
 
 
 def test_fit_does_not_load_scipy(model_wordlist, tmp_path):
-    loaded = packages_loaded_by("fit", model_wordlist, "--out", tmp_path / "fit.csv")
-    assert "numpy" in loaded and "scipy" not in loaded
+    # the word-list commands run in plain Python; only the array commands load numpy
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat " * 20, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    for argv in (["histogram", model_wordlist], ["fit", model_wordlist],
+                 ["implied", model_wordlist]):
+        loaded = packages_loaded_by(*argv, "--out", out)
+        assert "wordlen" in loaded and not loaded & {"numpy", "scipy"}, argv
+    for argv in (["entropy", corpus, "--max-order", "1"],
+                 ["simulate", "--p", "0.5", "--symbols", "27", "--words", "100"]):
+        loaded = packages_loaded_by(*argv, "--out", out)
+        assert "numpy" in loaded and "scipy" not in loaded, argv
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+@pytest.mark.skipif(not any(_cpu_features().get(f) for f in AVX512_DISPATCH),
+                    reason="numpy dispatches to none of the AVX-512 targets here")
+def test_fit_writes_the_same_bytes_at_every_simd_level(model_wordlist, tmp_path):
+    outputs = []
+    for disabled in ("", " ".join(AVX512_DISPATCH)):
+        fit, curve = tmp_path / f"fit{len(outputs)}.json", tmp_path / f"curve{len(outputs)}.json"
+        proc = run_python("-m", "wordlen.cli", "fit", model_wordlist, "--format", "json",
+                          "--out", fit, "--curve-out", curve,
+                          env={"NPY_DISABLE_CPU_FEATURES": disabled})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((fit.read_bytes(), curve.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments"])
+def test_empty_word_list(tmp_path, capsys, text):
+    # no words is a histogram of zeros; what needs words fails in one line
+    words = tmp_path / "words.txt"
+    words.write_text(text, encoding="utf-8")
+    out = tmp_path / "h.json"
+    assert run(["histogram", words, "--max-length", "3", "--format", "json", "--out", out]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["counts"] == [0, 0, 0] and payload["overflow"] == 0
+    assert run(["implied", words]) == 1
+    assert run(["fit", words]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "wordlen implied: empty histogram",
+        "wordlen fit: histogram needs at least 3 nonzero cells to fit"]
 
 
 def test_runs_as_a_module(reference_style_wordlist):
@@ -592,7 +659,7 @@ def test_runs_as_a_module(reference_style_wordlist):
     ("histogram", "ok\nnaïve\n", ["--strict"]),  # a TokenizationError
 ])
 def test_layer_errors_exit_1_in_one_line(tmp_path, command, text, flags):
-    # the CLI loads these layers, and their error types, only inside a command
+    # an error raised inside a layer reaches stderr as one line
     words = tmp_path / "words.txt"
     words.write_text(text, encoding="utf-8")
     proc = run_python("-c", "import sys; from wordlen.cli import main; sys.exit(main())",
