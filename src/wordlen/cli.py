@@ -159,9 +159,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    import warnings
+
     inv = resolve_inventory(args.inventory)
     stream = _cli.load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
-    profile = _cli.entropy_profile(stream, inv, args.max_order)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        profile = _cli.entropy_profile(stream, inv, args.max_order)
+    for warning in caught:
+        print(f"wordlen entropy: warning: {warning.message}", file=sys.stderr)
     artifact = report.profile_artifact(profile, label=args.label or Path(args.corpus).stem)
     report.write_artifact(artifact, args.format, args.out)
     return 0

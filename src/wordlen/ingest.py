@@ -6,8 +6,8 @@ of symbol indices with single separators between words. Both split text by
 one greedy rule, ``_multigraph_pattern``: a regex over the multi-character
 symbols, longest first, takes such a symbol wherever one starts, and every
 other character is a symbol of its own. A word list needs only lengths, so
-it is read in plain Python; a corpus is coded into a numpy array, which is
-imported only when one is loaded.
+it is read in plain Python; a corpus is coded block by block into one
+narrow numpy array, and numpy is imported only when one is loaded.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
     import numpy as np
+
+# characters per corpus block (the cut falls at the next "\n"), and symbols
+# per slice of a stream's separator check
+_BLOCK_CHARS = 1 << 16
 
 
 class TokenizationError(ValueError):
@@ -58,8 +62,11 @@ class SymbolStream:
         if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet_size):
             raise ValueError("symbol index outside inventory")
         sep = self.alphabet_size - 1
-        if sym.size > 1 and np.any((sym[1:] == sep) & (sym[:-1] == sep)):
-            raise ValueError("consecutive separators in stream")
+        # slices overlap by one symbol, so no full-length mask is built
+        for lo in range(0, sym.size - 1, _BLOCK_CHARS):
+            part = sym[lo : lo + _BLOCK_CHARS + 1] == sep
+            if np.any(part[1:] & part[:-1]):
+                raise ValueError("consecutive separators in stream")
 
 
 def _prepare(text: str, case_fold: bool) -> str:
@@ -78,28 +85,37 @@ def _multigraph_pattern(symbols: Sequence[str]) -> re.Pattern | None:
     return re.compile("|".join(map(re.escape, multi))) if multi else None
 
 
-def _encode(text: str, symbols: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``text`` into ``symbols`` by greedy longest match.
-
-    Returns one code per code point of ``text`` and a mask of the positions
-    where a token starts. A token is ``symbols[i]`` (code ``i``) or one
-    character no symbol matches (code ``len(symbols)``). A table codes every
-    code point; then ``_multigraph_pattern`` overwrites the code at each
-    match's start and drops the rest of the match.
-    """
+def _code_table(symbols: Sequence[str]) -> np.ndarray:
+    """Code of every code point: ``i`` for the one-character ``symbols[i]``,
+    ``len(symbols)`` for every other character."""
     import numpy as np
 
     unknown = len(symbols)
     table = np.full(0x110000, unknown, dtype=np.min_scalar_type(unknown))
-    index = {s: i for i, s in enumerate(symbols)}
-    for sym, i in index.items():
+    for i, sym in enumerate(symbols):
         if len(sym) == 1:
             table[ord(sym)] = i
+    return table
+
+
+def _encode(text: str, symbols: Sequence[str], table: np.ndarray,
+            pattern: re.Pattern | None) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``text`` into ``symbols`` by greedy longest match.
+
+    Returns one code per code point of ``text`` and a mask of the positions
+    where a token starts. A token is ``symbols[i]`` (code ``i``) or one
+    character no symbol matches (code ``len(symbols)``). ``table`` (from
+    ``_code_table``) codes every code point; then ``pattern`` (from
+    ``_multigraph_pattern``) overwrites the code at each match's start and
+    drops the rest of the match.
+    """
+    import numpy as np
+
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     codes = table[points]
     starts = np.ones(codes.size, dtype=bool)
-    pattern = _multigraph_pattern(symbols)
     if pattern is not None:
+        index = {s: i for i, s in enumerate(symbols)}
         at = np.fromiter(map(re.Match.start, pattern.finditer(text)), dtype=np.intp)
         found = np.fromiter(map(index.__getitem__, map(re.Match.group, pattern.finditer(text))),
                             dtype=codes.dtype, count=at.size)
@@ -147,29 +163,55 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     and digits act as word boundaries); strict mode raises on them, except
     that whitespace always counts as a separator. Separator runs collapse
     to one and leading/trailing separators are trimmed.
+
+    The text is prepared and coded in blocks, each cut just after the first
+    ``"\\n"`` at least ``_BLOCK_CHARS`` characters on, so that memory beyond
+    the text is one narrow code per token. NFC and ``str.lower`` (final
+    sigma included) never act across a ``"\\n"``, and no symbol match spans
+    one unless a symbol holds a ``"\\n"``; the text is then one block.
     """
     import numpy as np
 
-    text = _prepare(text, inv.case_fold)
-    codes, starts = _encode(text, inv.symbols)
-    unknown = inv.symbol_count
-    if strict:
-        for pos in np.flatnonzero(starts & (codes == unknown)):
-            if not text[pos].isspace():
-                # lines counted as load_wordlist counts them
-                line = len(text[: pos + 1].splitlines())
-                raise TokenizationError(f"symbol {text[pos]!r} not in inventory", line=line)
-    codes = codes[starts]
-    sep = inv.separator_index
-    codes[codes == unknown] = sep
-    is_sep = codes == sep
-    # a separator is kept only right after a letter
-    keep = ~is_sep
-    keep[1:] |= ~is_sep[:-1]
-    codes = codes[keep]
-    if codes.size and codes[-1] == sep:
-        codes = codes[:-1]
-    return SymbolStream(codes, inv.symbol_count)
+    symbols = inv.symbols
+    table, pattern = _code_table(symbols), _multigraph_pattern(symbols)
+    unknown, sep = inv.symbol_count, inv.separator_index
+    size = len(text) if any("\n" in s for s in symbols) else _BLOCK_CHARS
+    # every token starts at its own character, so only text that
+    # normalisation lengthened can outgrow this
+    out = np.empty(len(text), dtype=table.dtype)
+    n = start = 0
+    while start < len(text):
+        cut = text.find("\n", start + size - 1)
+        end = len(text) if cut < 0 else cut + 1
+        block = _prepare(text[start:end], inv.case_fold)
+        codes, starts = _encode(block, symbols, table, pattern)
+        if strict:
+            for pos in np.flatnonzero(starts & (codes == unknown)):
+                if not block[pos].isspace():
+                    # lines counted as load_wordlist counts them, over the
+                    # whole prepared text: each earlier block ends in "\n"
+                    before = _prepare(text[:start], inv.case_fold) + block[: pos + 1]
+                    raise TokenizationError(f"symbol {block[pos]!r} not in inventory",
+                                            line=len(before.splitlines()))
+        codes = codes[starts]
+        codes[codes == unknown] = sep
+        is_sep = codes == sep
+        # a separator is kept only right after a letter; each block but the
+        # last ends in "\n", which codes as a separator as no symbol holds
+        # one, so a block's leading separator is always dropped
+        keep = ~is_sep
+        keep[1:] |= ~is_sep[:-1]
+        codes = codes[keep]
+        if n + codes.size > out.size:
+            grown = np.empty(max(2 * out.size, n + codes.size), dtype=out.dtype)
+            grown[:n] = out[:n]
+            out = grown
+        out[n : n + codes.size] = codes
+        n += codes.size
+        start = end
+    if n and out[n - 1] == sep:
+        n -= 1
+    return SymbolStream(out[:n], inv.symbol_count)
 
 
 def word_length_histogram(

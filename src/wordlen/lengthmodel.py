@@ -52,11 +52,19 @@ def _check_domain(symbols: int, p: float) -> None:
 
 
 def model_count(symbols: int, p: float, length: int) -> float:
-    """Modeled number of distinct words of exactly ``length`` symbols."""
+    """Modeled number of distinct words of exactly ``length`` symbols.
+
+    Raises ValueError when the count passes the largest float.
+    """
     _check_domain(symbols, p)
     if length < 1:
         raise ValueError("length must be >= 1")
-    return max(float(symbols) ** (length * p**length) - 1.0, 0.0)
+    try:
+        count = float(symbols) ** (length * p**length)
+    except OverflowError:
+        raise ValueError(f"model count at symbols={symbols}, p={p}, length={length} "
+                         "exceeds the largest float") from None
+    return max(count - 1.0, 0.0)
 
 
 def model_histogram(symbols: int, p: float, max_length: int) -> list[float]:

@@ -3,8 +3,10 @@ import collections
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,12 +193,17 @@ class TestEntropyCommand:
         assert rows[0]["entropy_bits"] == "4.75"  # log2(27) at table precision
         assert rows[2]["entropy_bits"] == "0.00"
 
-    def test_small_corpus_flags_inadequate_orders(self, tmp_path):
+    def test_small_corpus_flags_inadequate_orders(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("the cat sat on the mat", encoding="utf-8")
         out = tmp_path / "e.csv"
-        with pytest.warns(UserWarning):
-            run(["entropy", corpus, "--max-order", "3", "--out", out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none may escape the command
+            assert run(["entropy", corpus, "--max-order", "3", "--out", out]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "wordlen entropy: warning: stream of 22 tokens cannot adequately sample "
+            "order >= 1 over 27 symbols"
+        ]
         _, _, rows = parse_csv(out)
         assert rows[0]["adequate"] == "true"
         assert rows[3]["adequate"] == "false"
@@ -216,6 +223,34 @@ class TestEntropyCommand:
             # documented rendering rule: entropies print at 2 decimals
             assert row["entropy_bits"] == f"{entry['entropy_bits']:.2f}"
 
+    def test_memory_grows_by_at_most_2_5_bytes_per_character(self, tmp_path):
+        # the text is held once and the stream takes one byte per symbol;
+        # each child is started from a small launcher, since on Linux a
+        # child's ru_maxrss includes the peak RSS of the process that
+        # started it, and this one has loaded the test suite
+        launcher = ("import os, subprocess, sys\n"
+                    "proc = subprocess.Popen(sys.argv[1:])\n"
+                    "_, status, usage = os.wait4(proc.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        rng = random.Random(3)
+        words = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 11)))
+                 for _ in range(4000)]
+        picked = rng.choices(words, k=320_000)
+        line_block = "".join(" ".join(picked[i : i + 10]) + ".\n"
+                             for i in range(0, len(picked), 10))
+        peaks = {}
+        for copies in (1, 4):
+            corpus = tmp_path / f"corpus{copies}.txt"
+            corpus.write_text(line_block * copies, encoding="utf-8")
+            proc = run_python("-c", launcher, sys.executable, "-m", "wordlen.cli", "entropy",
+                              corpus, "--out", os.devnull)
+            code, peak_kb = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+            peaks[len(line_block) * copies] = peak_kb * 1024
+        (small, small_peak), (large, large_peak) = sorted(peaks.items())
+        assert small > 1_900_000 and large > 7_600_000
+        slope = (large_peak - small_peak) / (large - small)
+        assert slope <= 2.5, f"{slope:.2f} bytes per character"
 
     def test_byte_order_mark_is_not_a_symbol(self, tmp_path):
         corpus = tmp_path / "bom.txt"

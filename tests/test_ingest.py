@@ -1,6 +1,7 @@
 import collections
 import itertools
 import unicodedata
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
 # "abc" splits greedily as ab + c; only backtracking would find a + bc
 OVERLAPPING = build_inventory(["a", "ab", "bc"])
+# a letter that spans a line break
+NEWLINE_LETTER = build_inventory(["a", "b", "ch", "a\nb"])
 # multigraphs over letters that normalisation composes, decomposes or case-maps
 ACCENTED = build_inventory(["a", "c", "ch", "e", "é", "ë", "i", "i\u0307", "s", "ss", "ß",
                             "σ", "ς", "\u0301"])
@@ -35,6 +38,12 @@ NORMALISATION_PIECES = [
     "\u0301", "\u0307", "\u0308", "a", "A", "c", "h", "CH", "e", "E", "é", "É", "s", "S",
     "Σ", "σ", "ς", "i", "I", "İ", "ß", "-",
 ]
+
+# cuts fall beside line breaks, a combining mark, capital sigma (lowered by
+# context), İ (lowered to two characters), a multigraph and a character no
+# inventory holds
+BLOCK_PIECES = ["\r\n", "\n", "\r", "\x0b", "\u0301", "Σ", "σ", "İ", "ch", "c", "h", "a",
+                "b", "e", "A", " ", ".", "x"]
 
 
 def render_stream(stream, inv):
@@ -101,13 +110,13 @@ def wordlist_outcome(load, text, inv, strict):
 
 def count_table_builds(monkeypatch):
     built = []
-    real = ingest._encode
+    real = ingest._code_table
 
-    def counting(text, symbols):
+    def counting(symbols):
         built.append(1)
-        return real(text, symbols)
+        return real(symbols)
 
-    monkeypatch.setattr(ingest, "_encode", counting)
+    monkeypatch.setattr(ingest, "_code_table", counting)
     return built
 
 
@@ -275,6 +284,26 @@ class TestCorpus:
             return
         assert load_corpus(text, inv, strict).symbols.tolist() == want
 
+    @settings(max_examples=150)
+    @given(st.sampled_from([SWAHILI, ACCENTED, NEWLINE_LETTER]),
+           st.lists(st.sampled_from(BLOCK_PIECES), max_size=25).map("".join),
+           st.booleans())
+    @example(NEWLINE_LETTER, "a\nb", False)
+    @example(SWAHILI, "ch\r\na\x0b\n\nx", True)
+    @example(SWAHILI, "a\nİİİ", False)  # more tokens than characters
+    def test_stream_does_not_depend_on_block_size(self, inv, text, strict):
+        def outcome():
+            try:
+                return load_corpus(text, inv, strict).symbols.tolist()
+            except TokenizationError as err:
+                return str(err)
+
+        with mock.patch.object(ingest, "_BLOCK_CHARS", len(text) + 1):
+            whole = outcome()
+        for size in range(1, len(text) + 1):
+            with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+                assert outcome() == whole, size
+
     def test_preset_stream_stays_narrow(self):
         stream = load_corpus("the cat sat on the mat " * 40, ENGLISH)
         assert stream.symbols.dtype == np.uint8
@@ -283,8 +312,12 @@ class TestCorpus:
         assert np.array_equal(profile.entropies, wide.entropies)
 
     def test_stream_validation(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            SymbolStream(np.array([0, 26, 26, 1]), 27)
+        # the separator check runs in slices; a pair may straddle any cut
+        for size in (1, 2, 3, 1 << 16):
+            with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+                with pytest.raises(ValueError, match="consecutive"):
+                    SymbolStream(np.array([0, 26, 26, 1]), 27)
+                SymbolStream(np.array([0, 26, 1, 26, 2]), 27)
         with pytest.raises(ValueError, match="index"):
             SymbolStream(np.array([0, 27]), 27)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ class TestModelCount:
             lm.model_count(27, 1.0, 3)
         with pytest.raises(ValueError):
             lm.model_count(27, 0.5, 0)
+
+    def test_overflow_names_its_arguments(self):
+        # 10**9 ** (N * 0.99**N) first passes the largest double at N = 68
+        message = re.escape("symbols=1000000000, p=0.99, length=68 exceeds the largest float")
+        with pytest.raises(ValueError, match=message):
+            lm.model_histogram(10**9, 0.99, 120)
+        with pytest.raises(ValueError, match=message):
+            lm.mean_exact(10**9, 0.99, 120)
 
 
 class TestModelHistogram:
