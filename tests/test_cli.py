@@ -416,6 +416,81 @@ class TestImpliedCommand:
             assert (row["has_data"] == "true") == entry["has_data"]
 
 
+IMPLIED_CSV = """\
+# label=tiny
+length,word_count,entropy_bits,has_data
+1,1,0.00,true
+2,3,0.79,true
+3,0,0.00,false
+"""
+IMPLIED_JSON = """\
+{
+  "label": "tiny",
+  "rows": [
+    {
+      "length": 1,
+      "word_count": 1,
+      "entropy_bits": 0.0,
+      "has_data": true
+    },
+    {
+      "length": 2,
+      "word_count": 3,
+      "entropy_bits": 0.792481250360578,
+      "has_data": true
+    },
+    {
+      "length": 3,
+      "word_count": 0,
+      "entropy_bits": 0.0,
+      "has_data": false
+    }
+  ]
+}
+"""
+PREDICT_CSV = """\
+# label=demo
+length,entropy_bits,predicted_words,predicted_rounded
+2,3.56,139.10206240333545,139
+3,3.30,955.4257833336899,955
+"""
+PREDICT_JSON = """\
+{
+  "label": "demo",
+  "predictions": [
+    {
+      "length": 2,
+      "entropy_bits": 3.56,
+      "predicted_words": 139.10206240333545
+    },
+    {
+      "length": 3,
+      "entropy_bits": 3.3,
+      "predicted_words": 955.4257833336899
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, implied, predicted", [
+    ("csv", IMPLIED_CSV, PREDICT_CSV), ("json", IMPLIED_JSON, PREDICT_JSON),
+])
+def test_implied_and_predict_exact_bytes(tmp_path, capsys, fmt, implied, predicted):
+    hist = tmp_path / "h.csv"
+    hist.write_text("# source=wordlist\n# label=tiny\nlength,count\n1,1\n2,3\n3,0\n"
+                    "overflow,2\n", encoding="utf-8")
+    profile = tmp_path / "p.json"
+    profile.write_text(json.dumps({"orders": [{"order": 0, "entropy_bits": 4.75},
+                                              {"order": 2, "entropy_bits": 3.56},
+                                              {"order": 3, "entropy_bits": 3.3}]}),
+                       encoding="utf-8")
+    assert run(["implied", "--histogram", hist, "--format", fmt]) == 0
+    assert capsys.readouterr().out == implied
+    assert run(["predict", "--profile", profile, "--label", "demo", "--format", fmt]) == 0
+    assert capsys.readouterr().out == predicted
+
+
 class TestSimulateCommand:
     def test_identical_seeds_byte_identical_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
