@@ -20,12 +20,8 @@ import importlib
 # each exported name and the module it lives in
 _HOMES = {
     "bridge": (
-        "ImpliedEntropyRow",
-        "WordCountPrediction",
         "entropy_from_p",
         "implied_entropy",
-        "implied_profile",
-        "predict_from_entropies",
         "predicted_distinct_words",
     ),
     "ingest": (
@@ -67,7 +63,6 @@ _HOMES = {
         "NgramCountTable",
         "count_ngrams",
         "entropy_profile",
-        "merge_tables",
     ),
     "report": (
         "DEFAULT_SCALE_A",

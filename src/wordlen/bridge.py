@@ -18,11 +18,6 @@ of the full conditional structure and is exposed as an approximation only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .report import WordLengthHistogram
 
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:
@@ -60,49 +55,3 @@ def entropy_from_p(p: float, symbols: int, order: int) -> float:
     if order < 0:
         raise ValueError("order must be >= 0")
     return p**order * math.log2(symbols)
-
-
-@dataclass(frozen=True)
-class WordCountPrediction:
-    length: int
-    entropy_bits: float
-    predicted: float
-
-
-def predict_from_entropies(entropies, lengths) -> list[WordCountPrediction]:
-    """Pair each (H, N) and evaluate the forward direction."""
-    out = []
-    for h, n in zip(entropies, lengths, strict=True):
-        out.append(WordCountPrediction(n, h, predicted_distinct_words(h, n)))
-    return out
-
-
-@dataclass(frozen=True)
-class ImpliedEntropyRow:
-    """One implied-entropy reading; ``has_data`` is False for empty cells.
-
-    A zero word count has no defined entropy; by table convention the row
-    still prints 0.00, and the flag is what distinguishes "no words of this
-    length" from a genuinely zero implied entropy (count of exactly 1).
-    """
-
-    length: int
-    word_count: int
-    entropy_bits: float
-    has_data: bool
-
-
-def implied_profile(hist: WordLengthHistogram) -> list[ImpliedEntropyRow]:
-    """Implied entropy per length from a distinct-word histogram."""
-    if hist.total() == 0:
-        raise ValueError("empty histogram")
-    rows = []
-    for length in range(1, hist.max_length + 1):
-        count = hist.count(length)
-        if count >= 1:
-            rows.append(
-                ImpliedEntropyRow(length, count, implied_entropy(count, length), True)
-            )
-        else:
-            rows.append(ImpliedEntropyRow(length, 0, 0.0, False))
-    return rows

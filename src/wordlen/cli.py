@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bridge, lengthmodel, report, simulate
+from . import lengthmodel, report, simulate
 from .inventory import PRESET_NAMES, SymbolInventory, read_utf8, resolve_inventory
 from .report import WordLengthHistogram
 
@@ -185,14 +185,11 @@ def _cmd_predict(args) -> int:
                  if o in wanted and o >= 1]
         if not pairs:
             raise ValueError("profile has no entries for the requested orders")
-        predictions = bridge.predict_from_entropies(
-            [h for _, h in pairs], [o for o, _ in pairs]
-        )
     elif args.entropy_bits is not None and args.length is not None:
-        predictions = bridge.predict_from_entropies([args.entropy_bits], [args.length])
+        pairs = [(args.length, args.entropy_bits)]
     else:
         raise ValueError("give either --profile or both --entropy-bits and --length")
-    artifact = report.predictions_artifact(predictions, label=args.label)
+    artifact = report.predictions_artifact(pairs, label=args.label)
     report.write_artifact(artifact, args.format, args.out)
     return 0
 
@@ -212,8 +209,7 @@ def _cmd_implied(args) -> int:
         _, hist = _wordlist_histogram(args)
     else:
         raise ValueError("give a word list or --histogram")
-    rows = bridge.implied_profile(hist)
-    artifact = report.implied_artifact(rows, label=args.label or hist.label)
+    artifact = report.implied_artifact(hist, label=args.label)
     report.write_artifact(artifact, args.format, args.out)
     return 0
 

@@ -13,12 +13,11 @@ narrow numpy array, and numpy is imported only when one is loaded.
 from __future__ import annotations
 
 import re
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .inventory import SymbolInventory
+from .inventory import SymbolInventory, _normalize
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -69,11 +68,6 @@ class SymbolStream:
                 raise ValueError("consecutive separators in stream")
 
 
-def _prepare(text: str, case_fold: bool) -> str:
-    text = unicodedata.normalize("NFC", text)
-    return text.lower() if case_fold else text
-
-
 def _multigraph_pattern(symbols: Sequence[str]) -> re.Pattern | None:
     """Regex over the symbols longer than one character, longest first, or
     None when there are none.
@@ -116,9 +110,10 @@ def _encode(text: str, symbols: Sequence[str], table: np.ndarray,
     starts = np.ones(codes.size, dtype=bool)
     if pattern is not None:
         index = {s: i for i, s in enumerate(symbols)}
-        at = np.fromiter(map(re.Match.start, pattern.finditer(text)), dtype=np.intp)
-        found = np.fromiter(map(index.__getitem__, map(re.Match.group, pattern.finditer(text))),
-                            dtype=codes.dtype, count=at.size)
+        matches = list(pattern.finditer(text))
+        at = np.fromiter(map(re.Match.start, matches), dtype=np.intp, count=len(matches))
+        found = np.fromiter(map(index.__getitem__, map(re.Match.group, matches)),
+                            dtype=codes.dtype, count=len(matches))
         codes[at] = found
         lengths = np.array([len(s) for s in symbols])[found]
         for k in range(1, max(map(len, symbols))):
@@ -139,7 +134,7 @@ def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list
     # One pass over the whole text gives each line's normal form: NFC and
     # lower() keep every line break and every whitespace character, and
     # neither composes, reorders or case-maps across one.
-    text = _prepare(text, inv.case_fold)
+    text = _normalize(text, inv.case_fold)
     words = [w for w in dict.fromkeys(map(str.strip, text.splitlines())) if w and w[0] != "#"]
     # A multigraph is one symbol: each match becomes "\n", which no line
     # holds, and a word is valid when every character left is a letter.
@@ -164,7 +159,7 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     that whitespace always counts as a separator. Separator runs collapse
     to one and leading/trailing separators are trimmed.
 
-    The text is prepared and coded in blocks, each cut just after the first
+    The text is normalised and coded in blocks, each cut just after the first
     ``"\\n"`` at least ``_BLOCK_CHARS`` characters on, so that memory beyond
     the text is one narrow code per token. NFC and ``str.lower`` (final
     sigma included) never act across a ``"\\n"``, and no symbol match spans
@@ -183,14 +178,14 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     while start < len(text):
         cut = text.find("\n", start + size - 1)
         end = len(text) if cut < 0 else cut + 1
-        block = _prepare(text[start:end], inv.case_fold)
+        block = _normalize(text[start:end], inv.case_fold)
         codes, starts = _encode(block, symbols, table, pattern)
         if strict:
             for pos in np.flatnonzero(starts & (codes == unknown)):
                 if not block[pos].isspace():
                     # lines counted as load_wordlist counts them, over the
-                    # whole prepared text: each earlier block ends in "\n"
-                    before = _prepare(text[:start], inv.case_fold) + block[: pos + 1]
+                    # whole normalised text: each earlier block ends in "\n"
+                    before = _normalize(text[:start], inv.case_fold) + block[: pos + 1]
                     raise TokenizationError(f"symbol {block[pos]!r} not in inventory",
                                             line=len(before.splitlines()))
         codes = codes[starts]

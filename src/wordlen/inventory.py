@@ -39,11 +39,11 @@ def read_utf8(path: str | Path) -> str:
         ) from None
 
 
-def _normalize(symbol: str, case_fold: bool) -> str:
-    symbol = unicodedata.normalize("NFC", symbol)
+def _normalize(text: str, case_fold: bool) -> str:
+    text = unicodedata.normalize("NFC", text)
     # str.lower, not str.casefold: folding would expand "ß" to "ss" and
     # silently merge it with an existing digraph.
-    return symbol.lower() if case_fold else symbol
+    return text.lower() if case_fold else text
 
 
 @dataclass(frozen=True)

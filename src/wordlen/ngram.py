@@ -12,8 +12,8 @@ sample order n).
 
 Counts have one form, ``NgramCountTable``: the sorted distinct codes of a
 stream's width-k windows (base L, first symbol most significant) and their
-counts. Tables merge by summing counts per code, so slices of a stream, each
-reading k-1 symbols past its end, merge to the one-pass table.
+counts. ``count_ngrams`` counts slices of a stream, each reading k-1
+symbols past its end, and sums their counts per code into the one-pass table.
 ``entropy_profile`` counts once at the top order and reads every H_n off
 marginals of that table (``code % L**n`` codes a window's last n symbols),
 which makes these hold exactly on any input:
@@ -118,14 +118,6 @@ def count_ngrams(
         slices.append(np.unique(codes, return_counts=True))
     codes, counts = (np.concatenate(parts) for parts in zip(*slices))
     return NgramCountTable(order, base, *_sum_by(codes, counts))
-
-
-def merge_tables(a: NgramCountTable, b: NgramCountTable) -> NgramCountTable:
-    """Pointwise sum of two tables of one order and base."""
-    if (a.order, a.base) != (b.order, b.base):
-        raise ValueError("cannot merge tables of different orders or bases")
-    both = np.concatenate([a.codes, b.codes]), np.concatenate([a.counts, b.counts])
-    return NgramCountTable(a.order, a.base, *_sum_by(*both))
 
 
 def _entropy(counts: np.ndarray) -> float:

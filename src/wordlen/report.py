@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import lengthmodel
+from . import bridge, lengthmodel
 from .inventory import read_utf8
 
 if TYPE_CHECKING:
-    from .bridge import ImpliedEntropyRow
     from .ngram import EntropyProfile
     from .simulate import SimulationConfig
 
@@ -107,6 +106,10 @@ def _cell(value, column: str) -> str:
     return str(value)
 
 
+def _label_comment(label: str) -> tuple[str, ...]:
+    return (f"label={label}",) if label else ()
+
+
 def write_artifact(artifact: Artifact, fmt: str, out: str | Path | None) -> None:
     text = artifact.render(fmt)
     if out is None or str(out) == "-":
@@ -119,9 +122,6 @@ def write_artifact(artifact: Artifact, fmt: str, out: str | Path | None) -> None
 def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> Artifact:
     rows = [(length, hist.count(length)) for length in range(1, hist.max_length + 1)]
     rows.append(("overflow", hist.overflow))
-    comments = [f"source={source}"]
-    if hist.label:
-        comments.append(f"label={hist.label}")
     payload = {
         "source": source,
         "label": hist.label,
@@ -129,7 +129,8 @@ def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> A
         "counts": list(hist.counts),
         "overflow": hist.overflow,
     }
-    return Artifact(payload, tuple(comments), ("length", "count"), tuple(rows))
+    comments = (f"source={source}", *_label_comment(hist.label))
+    return Artifact(payload, comments, ("length", "count"), tuple(rows))
 
 
 def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
@@ -260,6 +261,7 @@ def fit_curve_artifact(
 
 
 def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
+    header = ("order", "entropy_bits", "windows", "adequate")
     rows = [
         (
             order,
@@ -273,22 +275,9 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
         "label": label,
         "inventory_symbols": profile.inventory_symbols,
         "sample_tokens": profile.sample_tokens,
-        "orders": [
-            {
-                "order": r[0],
-                "entropy_bits": r[1],
-                "windows": r[2],
-                "adequate": r[3],
-            }
-            for r in rows
-        ],
+        "orders": [dict(zip(header, row)) for row in rows],
     }
-    return Artifact(
-        payload,
-        (f"label={label}",) if label else (),
-        ("order", "entropy_bits", "windows", "adequate"),
-        tuple(rows),
-    )
+    return Artifact(payload, _label_comment(label), header, tuple(rows))
 
 
 def read_profile_json(path: str | Path) -> list[tuple[int, float]]:
@@ -307,46 +296,38 @@ def read_profile_json(path: str | Path) -> list[tuple[int, float]]:
     return pairs
 
 
-def predictions_artifact(predictions, label: str = "") -> Artifact:
+def predictions_artifact(pairs, label: str = "") -> Artifact:
+    """Distinct words 2**(N*H) predicted from each (length N, entropy H) pair."""
+    header = ("length", "entropy_bits", "predicted_words", "predicted_rounded")
+    rows = []
+    for length, bits in pairs:
+        words = bridge.predicted_distinct_words(bits, length)
+        rows.append((length, bits, words, round(words)))
+    # the rounded count is a CSV convenience; JSON keeps the first three columns
+    payload = {"label": label, "predictions": [dict(zip(header[:3], row)) for row in rows]}
+    return Artifact(payload, _label_comment(label), header, tuple(rows))
+
+
+def implied_artifact(hist: WordLengthHistogram, label: str = "") -> Artifact:
+    """Entropy log2(W)/N implied by the W distinct words of each length N.
+
+    A zero word count has no defined entropy; by table convention the row
+    still prints 0.00, and ``has_data`` is what distinguishes "no words of
+    this length" from a genuinely zero implied entropy (count of exactly 1).
+    """
+    if not any(hist.counts):
+        # overflow words have no length to read an entropy at
+        raise ValueError(f"all {hist.overflow} words are longer than {hist.max_length}"
+                         if hist.overflow else "empty histogram")
+    label = label or hist.label
+    header = ("length", "word_count", "entropy_bits", "has_data")
     rows = [
-        (p.length, p.entropy_bits, p.predicted, round(p.predicted))
-        for p in predictions
+        (length, count, bridge.implied_entropy(count, length), True) if count
+        else (length, 0, 0.0, False)
+        for length, count in enumerate(hist.counts, start=1)
     ]
-    payload = {
-        "label": label,
-        "predictions": [
-            {"length": p.length, "entropy_bits": p.entropy_bits, "predicted_words": p.predicted}
-            for p in predictions
-        ],
-    }
-    return Artifact(
-        payload,
-        (f"label={label}",) if label else (),
-        ("length", "entropy_bits", "predicted_words", "predicted_rounded"),
-        tuple(rows),
-    )
-
-
-def implied_artifact(rows: list[ImpliedEntropyRow], label: str = "") -> Artifact:
-    table = [(r.length, r.word_count, r.entropy_bits, r.has_data) for r in rows]
-    payload = {
-        "label": label,
-        "rows": [
-            {
-                "length": r.length,
-                "word_count": r.word_count,
-                "entropy_bits": r.entropy_bits,
-                "has_data": r.has_data,
-            }
-            for r in rows
-        ],
-    }
-    return Artifact(
-        payload,
-        (f"label={label}",) if label else (),
-        ("length", "word_count", "entropy_bits", "has_data"),
-        tuple(table),
-    )
+    payload = {"label": label, "rows": [dict(zip(header, row)) for row in rows]}
+    return Artifact(payload, _label_comment(label), header, tuple(rows))
 
 
 def simulation_artifact(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wordlen import bridge
 from wordlen.lengthmodel import model_count
-from wordlen.report import WordLengthHistogram
+from wordlen.report import WordLengthHistogram, implied_artifact, predictions_artifact
 
 from reference_tables import IMPLIED_ENTROPY_ROWS
 
@@ -99,34 +99,35 @@ def hist_from_rows(rows):
     return WordLengthHistogram(counts, max_length)
 
 
+def implied_rows(hist):
+    return {r["length"]: r for r in implied_artifact(hist).payload["rows"]}
+
+
 class TestImpliedProfile:
     def test_english_reference_rows(self):
-        rows = bridge.implied_profile(hist_from_rows(IMPLIED_ENTROPY_ROWS["english"]))
-        by_length = {r.length: r for r in rows}
-        assert by_length[8].entropy_bits == pytest.approx(1.75, abs=0.01)
-        assert by_length[28].entropy_bits == 0.0
-        assert by_length[28].has_data is True
-        assert by_length[29].has_data is False and by_length[29].entropy_bits == 0.0
+        by_length = implied_rows(hist_from_rows(IMPLIED_ENTROPY_ROWS["english"]))
+        assert by_length[8]["entropy_bits"] == pytest.approx(1.75, abs=0.01)
+        assert by_length[28]["entropy_bits"] == 0.0
+        assert by_length[28]["has_data"] is True
+        assert by_length[29]["has_data"] is False and by_length[29]["entropy_bits"] == 0.0
 
     def test_german_reference_row(self):
-        rows = bridge.implied_profile(hist_from_rows(IMPLIED_ENTROPY_ROWS["german"]))
-        by_length = {r.length: r for r in rows}
-        assert by_length[12].entropy_bits == pytest.approx(1.32, abs=0.01)
+        by_length = implied_rows(hist_from_rows(IMPLIED_ENTROPY_ROWS["german"]))
+        assert by_length[12]["entropy_bits"] == pytest.approx(1.32, abs=0.01)
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
-            bridge.implied_profile(WordLengthHistogram(np.zeros(4, dtype=int), 4))
+            implied_artifact(WordLengthHistogram(np.zeros(4, dtype=int), 4))
 
     @settings(max_examples=50)
     @given(st.integers(min_value=2, max_value=10_000))
     def test_equal_counts_imply_less_entropy_at_longer_lengths(self, count):
         counts = np.full(6, count, dtype=np.int64)
-        rows = bridge.implied_profile(WordLengthHistogram(counts, 6))
-        values = [r.entropy_bits for r in rows]
+        values = [r["entropy_bits"] for r in implied_rows(WordLengthHistogram(counts, 6)).values()]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_prediction_helper_pairs_inputs(self):
-        preds = bridge.predict_from_entropies([3.56, 3.30], [2, 3])
-        assert [round(p.predicted) for p in preds] == [139, 955]
+        rows = predictions_artifact([(2, 3.56), (3, 3.30)]).rows
+        assert [(n, round(w)) for n, _, w, _ in rows] == [(2, 139), (3, 955)]
         with pytest.raises(ValueError):
-            bridge.predict_from_entropies([3.56], [2, 3])
+            predictions_artifact([(2, 3.56), (0, 3.30)])

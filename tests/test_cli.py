@@ -403,6 +403,15 @@ class TestImpliedCommand:
         assert proc.stderr.splitlines() == [f"wordlen implied: {bad}: length 2 is listed twice"]
         assert proc.stdout == ""
 
+    def test_overflow_only_histogram_fails_in_one_line(self, tmp_path):
+        # overflowing words have no length to imply an entropy at, so no row has data
+        hist = tmp_path / "h.csv"
+        hist.write_text("length,count\n1,0\n2,0\noverflow,5\n", encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "implied", "--histogram", hist)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["wordlen implied: all 5 words are longer than 2"]
+        assert proc.stdout == ""
+
     def test_csv_json_agree(self, reference_style_wordlist, tmp_path):
         out_csv, out_json = tmp_path / "i.csv", tmp_path / "i.json"
         run(["implied", reference_style_wordlist, "--max-length", "4", "--out", out_csv])

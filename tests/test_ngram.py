@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from wordlen.ngram import (
     NgramCountTable,
     count_ngrams,
     entropy_profile,
-    merge_tables,
 )
 
 # entropy rate of a two-state chain that stays put with probability 0.9
@@ -87,23 +85,6 @@ class TestCounting:
         assert count_ngrams(stream, inv.symbol_count, 2).total == 3
 
     @settings(max_examples=100, deadline=None)
-    @given(coded_streams(), st.data())
-    def test_chunked_equals_single_pass(self, drawn, data):
-        stream, symbols, order = drawn
-        n_windows = stream.size - order + 1
-        inner = st.integers(1, n_windows - 1) if n_windows > 1 else st.nothing()
-        cuts = sorted(data.draw(st.sets(inner)))
-        bounds = [0, *cuts, n_windows]
-        # each slice owns the windows starting in [start, stop) and so reads
-        # order-1 symbols past its end
-        tables = [count_ngrams(stream[start:stop + order - 1], symbols, order)
-                  for start, stop in zip(bounds, bounds[1:])]
-        merged = reduce(merge_tables, tables)
-        whole = count_ngrams(stream, symbols, order)
-        assert np.array_equal(merged.codes, whole.codes)
-        assert np.array_equal(merged.counts, whole.counts)
-
-    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_slice_length_does_not_change_table(self, data):
         symbols = data.draw(st.integers(2, 30))
@@ -165,29 +146,6 @@ class TestCounting:
             NgramCountTable(2, 3, [1, 2], [1])
         with pytest.raises(ValueError):
             NgramCountTable(0, 3, [], [])
-
-
-class TestMerge:
-    def test_pointwise_sum(self):
-        a = count_ngrams(np.array([0, 1, 0]), 2, 2)
-        b = count_ngrams(np.array([1, 1, 0]), 2, 2)
-        merged = merge_tables(a, b)
-        assert merged.codes.tolist() == [1, 2, 3]  # 01 10 11
-        assert merged.counts.tolist() == [1, 2, 1]
-        assert merged.total == 4
-        swapped = merge_tables(b, a)
-        assert np.array_equal(swapped.codes, merged.codes)
-        assert np.array_equal(swapped.counts, merged.counts)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            merge_tables(
-                count_ngrams(np.array([0, 1]), 2, 1), count_ngrams(np.array([0, 1]), 2, 2)
-            )
-        with pytest.raises(ValueError):
-            merge_tables(
-                count_ngrams(np.array([0, 1]), 2, 1), count_ngrams(np.array([0, 1]), 3, 1)
-            )
 
 
 class TestConditionalEntropy:
