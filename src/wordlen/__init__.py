@@ -35,7 +35,6 @@ _HOMES = {
         "PRESET_NAMES",
         "InventoryError",
         "SymbolInventory",
-        "build_inventory",
         "load_inventory_file",
         "preset_inventory",
         "resolve_inventory",

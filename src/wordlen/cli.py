@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument("--profile", default="",
                         help="entropy profile JSON written by the entropy command")
-    p_pred.add_argument("--orders", default="2,3",
-                        help="comma-separated orders to take from the profile")
+    p_pred.add_argument("--orders", default=None,
+                        help="comma-separated orders to take from the profile "
+                             "(default: those of 2 and 3 it holds)")
     p_pred.add_argument("--entropy-bits", type=float, default=None,
                         help="explicit entropy value (with --length)")
     p_pred.add_argument("--length", type=int, default=None)
@@ -175,16 +176,34 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.profile:
+        if args.entropy_bits is not None or args.length is not None:
+            raise ValueError("--entropy-bits and --length cannot be used with --profile")
         wanted = set()
-        for x in filter(str.strip, args.orders.split(",")):
+        for x in filter(str.strip, (args.orders or "").split(",")):
             try:
                 wanted.add(int(x))
             except ValueError:
                 raise ValueError(f"--orders: {x.strip()!r} is not a whole number") from None
-        pairs = [(o, h) for o, h in report.read_profile_json(args.profile)
-                 if o in wanted and o >= 1]
-        if not pairs:
+        if min(wanted, default=1) < 1:
+            raise ValueError(f"--orders: {min(wanted)} is not a word length; orders start at 1")
+        entries = report.read_profile_json(args.profile)
+        held = [order for order, _, _ in entries]
+        if args.orders is None:
+            wanted = {2, 3}.intersection(held)
+        missing = sorted(wanted.difference(held))
+        if missing:
+            raise ValueError(f"{args.profile} has no order {', '.join(map(str, missing))}; "
+                             f"it holds orders {', '.join(map(str, held))}")
+        entries = [entry for entry in entries if entry[0] in wanted]
+        if not entries:
             raise ValueError("profile has no entries for the requested orders")
+        for order, _, adequate in entries:
+            if adequate is False:
+                print(f"wordlen predict: warning: order {order} is undersampled in {args.profile}",
+                      file=sys.stderr)
+        pairs = [(order, bits) for order, bits, _ in entries]
+    elif args.orders is not None:
+        raise ValueError("--orders cannot be used without --profile")
     elif args.entropy_bits is not None and args.length is not None:
         pairs = [(args.length, args.entropy_bits)]
     else:

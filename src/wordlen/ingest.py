@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .inventory import SymbolInventory, _normalize
+from .inventory import SymbolInventory
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -134,7 +134,7 @@ def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list
     # One pass over the whole text gives each line's normal form: NFC and
     # lower() keep every line break and every whitespace character, and
     # neither composes, reorders or case-maps across one.
-    text = _normalize(text, inv.case_fold)
+    text = inv.normalize(text)
     words = [w for w in dict.fromkeys(map(str.strip, text.splitlines())) if w and w[0] != "#"]
     # A multigraph is one symbol: each match becomes "\n", which no line
     # holds, and a word is valid when every character left is a letter.
@@ -178,14 +178,14 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     while start < len(text):
         cut = text.find("\n", start + size - 1)
         end = len(text) if cut < 0 else cut + 1
-        block = _normalize(text[start:end], inv.case_fold)
+        block = inv.normalize(text[start:end])
         codes, starts = _encode(block, symbols, table, pattern)
         if strict:
             for pos in np.flatnonzero(starts & (codes == unknown)):
                 if not block[pos].isspace():
                     # lines counted as load_wordlist counts them, over the
                     # whole normalised text: each earlier block ends in "\n"
-                    before = _normalize(text[:start], inv.case_fold) + block[: pos + 1]
+                    before = inv.normalize(text[:start]) + block[: pos + 1]
                     raise TokenizationError(f"symbol {block[pos]!r} not in inventory",
                                             line=len(before.splitlines()))
         codes = codes[starts]

@@ -16,7 +16,6 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 
 class InventoryError(ValueError):
@@ -39,19 +38,22 @@ def read_utf8(path: str | Path) -> str:
         ) from None
 
 
-def _normalize(text: str, case_fold: bool) -> str:
-    text = unicodedata.normalize("NFC", text)
-    # str.lower, not str.casefold: folding would expand "ß" to "ss" and
-    # silently merge it with an existing digraph.
-    return text.lower() if case_fold else text
-
-
 @dataclass(frozen=True)
 class SymbolInventory:
-    """Ordered letter symbols plus one separator symbol.
+    """Ordered letter symbols plus one separator symbol, in normal form.
 
     Letter indices run 0..len(letters)-1 in the given order; the separator
     always takes the last index, ``separator_index == symbol_count - 1``.
+
+    ``letters`` may be any iterable of strings. Every symbol is brought to
+    the normal form of ``normalize`` before the duplicate check, so symbols
+    that differ only in case or in combining-character encoding are
+    rejected rather than kept as one that never matches.
+
+    Greedy longest-match tokenization is used downstream; inventories where
+    a multi-character symbol equals the concatenation of shorter ones (for
+    instance letters "a", "b" and "ab" together) can mis-segment and are
+    the caller's responsibility.
     """
 
     letters: tuple[str, ...]
@@ -72,7 +74,17 @@ class SymbolInventory:
         """All symbols in index order (letters, then separator)."""
         return self.letters + (self.separator,)
 
+    def normalize(self, text: str) -> str:
+        """``text`` in the inventory's normal form: NFC, and lowercased when
+        the inventory folds case."""
+        text = unicodedata.normalize("NFC", text)
+        # str.lower, not str.casefold: folding would expand "ß" to "ss" and
+        # silently merge it with an existing digraph.
+        return text.lower() if self.case_fold else text
+
     def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(map(self.normalize, self.letters)))
+        object.__setattr__(self, "separator", self.normalize(self.separator))
         if not self.letters:
             raise InventoryError("inventory needs at least one letter")
         seen: set[str] = set()
@@ -85,31 +97,7 @@ class SymbolInventory:
         if not self.separator:
             raise InventoryError("separator must be a nonempty string")
         if self.separator in seen:
-            raise InventoryError(
-                f"separator {self.separator!r} is also listed as a letter"
-            )
-
-
-def build_inventory(
-    letters: Iterable[str],
-    separator: str = " ",
-    case_fold: bool = True,
-    name: str = "",
-) -> SymbolInventory:
-    """Validate and normalize an inventory description.
-
-    Symbols are NFC-normalized (and lowercased when ``case_fold``) before
-    the duplicate check, so an inventory that only differs in case or in
-    combining-character encoding is rejected rather than silently kept.
-
-    Greedy longest-match tokenization is used downstream; inventories where
-    a multi-character symbol equals the concatenation of shorter ones (for
-    instance letters "a", "b" and "ab" together) can mis-segment and are
-    the caller's responsibility.
-    """
-    norm = tuple(_normalize(s, case_fold) for s in letters)
-    sep = _normalize(separator, case_fold)
-    return SymbolInventory(norm, sep, case_fold, name)
+            raise InventoryError(f"separator {self.separator!r} is also listed as a letter")
 
 
 # Letter sets behind the conventional symbol counts. Where a study's exact
@@ -150,10 +138,7 @@ def preset_inventory(name: str) -> SymbolInventory:
         raise InventoryError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         )
-    letters = _PRESET_LETTERS[key]
-    if isinstance(letters, str):
-        letters = tuple(letters)
-    return build_inventory(letters, " ", True, name=key)
+    return SymbolInventory(_PRESET_LETTERS[key], name=key)
 
 
 def load_inventory_file(path: str | Path) -> SymbolInventory:
@@ -177,12 +162,7 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
         raise InventoryError(f"{path}: 'separator' must be a string")
     if not isinstance(case_fold, bool):  # bool("false") would be True
         raise InventoryError(f"{path}: 'case_fold' must be true or false")
-    return build_inventory(
-        letters,
-        separator,
-        case_fold,
-        name=str(raw.get("name", Path(path).stem)),
-    )
+    return SymbolInventory(letters, separator, case_fold, str(raw.get("name", Path(path).stem)))
 
 
 def resolve_inventory(spec: str | Path | SymbolInventory) -> SymbolInventory:

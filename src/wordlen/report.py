@@ -280,20 +280,21 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
     return Artifact(payload, _label_comment(label), header, tuple(rows))
 
 
-def read_profile_json(path: str | Path) -> list[tuple[int, float]]:
-    """(order, entropy) pairs from a saved entropy-profile JSON."""
+def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
+    """(order, entropy, adequate or None) entries of a saved entropy-profile JSON."""
     try:
         raw = json.loads(read_utf8(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: not JSON: {err}") from None
     try:
-        pairs = [(int(o["order"]), float(o["entropy_bits"])) for o in raw["orders"]]
+        entries = [(int(o["order"]), float(o["entropy_bits"]), o.get("adequate"))
+                   for o in raw["orders"]]
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: not an entropy profile file") from err
-    for order, bits in pairs:
+    for order, bits, _ in entries:
         if not 0.0 <= bits < math.inf:  # also false for NaN
             raise ValueError(f"{path}: order {order}: entropy must be finite and >= 0, got {bits}")
-    return pairs
+    return entries
 
 
 def predictions_artifact(pairs, label: str = "") -> Artifact:

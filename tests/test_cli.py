@@ -334,6 +334,55 @@ class TestPredictCommand:
         assert run(["predict", "--entropy-bits", "0", "--length", "9"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("9,0.00,1.0,1")
 
+    @pytest.fixture
+    def profile_0_to_3(self, tmp_path):
+        """A profile holding orders 0..3, with order 3 undersampled."""
+        profile = tmp_path / "p.json"
+        profile.write_text(json.dumps({"orders": [
+            {"order": n, "entropy_bits": h, "adequate": n < 3}
+            for n, h in enumerate([4.75, 4.1, 3.56, 3.3])]}), encoding="utf-8")
+        return profile
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--orders", "2,7"], "{profile} has no order 7; it holds orders 0, 1, 2, 3"),
+        (["--orders", "9,2,7"], "{profile} has no order 7, 9; it holds orders 0, 1, 2, 3"),
+        (["--orders", "0,2"], "--orders: 0 is not a word length; orders start at 1"),
+        (["--entropy-bits", "3", "--length", "2"],
+         "--entropy-bits and --length cannot be used with --profile"),
+        (["--length", "2"], "--entropy-bits and --length cannot be used with --profile"),
+    ], ids=["missing", "two-missing", "order-0", "explicit-pair", "length"])
+    def test_refuses_what_profile_cannot_give(self, profile_0_to_3, capsys, flags, problem):
+        assert run(["predict", "--profile", profile_0_to_3, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"wordlen predict: {problem.format(profile=profile_0_to_3)}"]
+
+    def test_orders_need_a_profile(self, capsys):
+        assert run(["predict", "--orders", "2", "--entropy-bits", "3", "--length", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "wordlen predict: --orders cannot be used without --profile"]
+
+    def test_undersampled_order_warns_and_keeps_bytes(self, profile_0_to_3, tmp_path, capsys):
+        assert run(["predict", "--profile", profile_0_to_3]) == 0
+        warned = capsys.readouterr()
+        assert warned.err.splitlines() == [
+            f"wordlen predict: warning: order 3 is undersampled in {profile_0_to_3}"]
+        # the same entries without "adequate" keys, as in a hand-written profile
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"orders": [
+            {k: v for k, v in entry.items() if k != "adequate"}
+            for entry in json.loads(profile_0_to_3.read_text(encoding="utf-8"))["orders"]]}),
+            encoding="utf-8")
+        assert run(["predict", "--profile", bare]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert quiet.out == warned.out
+        assert [line.split(",")[0] for line in quiet.out.splitlines()[1:]] == ["2", "3"]
+        # an adequate order asked for alone gives no warning
+        assert run(["predict", "--profile", profile_0_to_3, "--orders", "1,2"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestImpliedCommand:
     def test_from_wordlist(self, reference_style_wordlist, tmp_path):

@@ -1,6 +1,10 @@
 import collections
 import itertools
+import math
+import tempfile
 import unicodedata
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,18 +20,18 @@ from wordlen.ingest import (
     load_wordlist,
     word_length_histogram,
 )
-from wordlen.inventory import build_inventory, preset_inventory
+from wordlen.inventory import InventoryError, SymbolInventory, preset_inventory
 from wordlen.ngram import entropy_profile
-from wordlen.report import WordLengthHistogram
+from wordlen.report import WordLengthHistogram, histogram_artifact, read_histogram_csv
 
 ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
 # "abc" splits greedily as ab + c; only backtracking would find a + bc
-OVERLAPPING = build_inventory(["a", "ab", "bc"])
+OVERLAPPING = SymbolInventory(["a", "ab", "bc"])
 # a letter that spans a line break
-NEWLINE_LETTER = build_inventory(["a", "b", "ch", "a\nb"])
+NEWLINE_LETTER = SymbolInventory(["a", "b", "ch", "a\nb"])
 # multigraphs over letters that normalisation composes, decomposes or case-maps
-ACCENTED = build_inventory(["a", "c", "ch", "e", "é", "ë", "i", "i\u0307", "s", "ss", "ß",
+ACCENTED = SymbolInventory(["a", "c", "ch", "e", "é", "ë", "i", "i\u0307", "s", "ss", "ß",
                             "σ", "ς", "\u0301"])
 # every str.splitlines break, whitespace that NFC rewrites (U+2000 -> U+2002),
 # combining marks that may start a line, and letters whose lower() depends on
@@ -44,6 +48,27 @@ NORMALISATION_PIECES = [
 # inventory holds
 BLOCK_PIECES = ["\r\n", "\n", "\r", "\x0b", "\u0301", "Σ", "σ", "İ", "ch", "c", "h", "a",
                 "b", "e", "A", " ", ".", "x"]
+
+# pieces of unnormalised letters: upper and lower case, composed and
+# decomposed accents, a lone combining mark, and capital sharp s (lowered to ß)
+LETTER_PIECES = ["a", "A", "b", "c", "C", "h", "H", "e", "E", "\u00e9", "\u00c9", "e\u0301",
+                 "E\u0301", "\u0301", "s", "\u00df", "\u1e9e"]
+
+
+@st.composite
+def multigraph_inventories(draw):
+    """An inventory of one- and multi-character letters, the unnormalised
+    letters it was built from, and words as lists of letter indices."""
+    raw = draw(st.lists(st.lists(st.sampled_from(LETTER_PIECES), min_size=1, max_size=3)
+                        .map("".join), min_size=1, max_size=8, unique=True))
+    separator = draw(st.sampled_from([" ", "_", "--"]))
+    try:
+        inv = SymbolInventory(raw, separator, draw(st.booleans()))
+    except InventoryError:  # two letters share a normal form
+        assume(False)
+    words = draw(st.lists(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=7),
+                          min_size=1, max_size=20))
+    return inv, raw, words
 
 
 def render_stream(stream, inv):
@@ -195,7 +220,7 @@ class TestWordlist:
                                      min_size=1, max_size=6, unique=True))
         separator = data.draw(st.sampled_from([" ", "_", "||", "-"]))
         assume(separator not in letters)
-        inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
+        inv = SymbolInventory(letters, separator, case_fold=data.draw(st.booleans()))
         text = data.draw(st.text(alphabet="abcé𝔞A _|-#\n\r\x0b", max_size=40))
         for strict in (False, True):
             assert (wordlist_outcome(load_wordlist, text, inv, strict)
@@ -212,12 +237,12 @@ class TestWordlist:
                     == wordlist_outcome(wordlist_reference, text, inv, strict))
 
     def test_letter_with_line_break_never_joins_two_words(self):
-        inv = build_inventory(["a", "b", "a\nb"])
+        inv = SymbolInventory(["a", "b", "a\nb"])
         assert load_wordlist("a\nbb", inv, strict=True) == [1, 2]
         assert load_corpus("a\nb", inv).symbols.tolist() == [2]
 
     def test_multi_character_separator_inside_word(self):
-        inv = build_inventory(["a", "b"], separator="||")
+        inv = SymbolInventory(["a", "b"], separator="||")
         with pytest.raises(TokenizationError, match="symbol '|' not allowed"):
             load_wordlist("a||b", inv, strict=True)
 
@@ -272,7 +297,7 @@ class TestCorpus:
                                      min_size=1, max_size=6, unique=True))
         separator = data.draw(st.sampled_from([" ", "_", "||", "-", "a_"]))
         assume(separator not in letters)
-        inv = build_inventory(letters, separator, case_fold=data.draw(st.booleans()))
+        inv = SymbolInventory(letters, separator, case_fold=data.draw(st.booleans()))
         text = data.draw(st.text(alphabet="abcé𝔞A _|-.\n\r\x0b", max_size=40))
         strict = data.draw(st.booleans())
         try:
@@ -389,3 +414,54 @@ class TestHistogram:
     def test_rejects_bad_max_length(self):
         with pytest.raises(ValueError):
             word_length_histogram([], 0)
+
+
+class TestMultigraphInventoryProperties:
+    """Properties over random inventories whose letters normalisation changes."""
+
+    @staticmethod
+    def text(letters, words, sep):
+        return sep.join("".join(letters[i] for i in word) for word in words)
+
+    @settings(max_examples=200)
+    @given(multigraph_inventories())
+    def test_normal_form_is_idempotent(self, drawn):
+        inv, _, _ = drawn
+        again = SymbolInventory(inv.letters, inv.separator, inv.case_fold)
+        assert again == inv and again.symbols == inv.symbols
+
+    @settings(max_examples=200)
+    @given(multigraph_inventories())
+    def test_unnormalised_words_load_as_normalised(self, drawn):
+        inv, raw, words = drawn
+        for strict in (False, True):
+            assert (wordlist_outcome(load_wordlist, self.text(raw, words, "\n"), inv, strict)
+                    == wordlist_outcome(load_wordlist, self.text(inv.letters, words, "\n"),
+                                        inv, strict))
+
+    @settings(max_examples=100)
+    @given(multigraph_inventories(), st.integers(1, 6), st.booleans())
+    def test_histogram_csv_reloads_equal(self, drawn, max_length, labelled):
+        inv, raw, words = drawn
+        label = "".join(raw) if labelled else ""  # unnormalised text survives as written
+        lengths = load_wordlist(self.text(raw, words, "\n"), inv)
+        hist = word_length_histogram(lengths, max_length, label=label)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "hist.csv"
+            path.write_text(histogram_artifact(hist).to_csv(), encoding="utf-8")
+            back = read_histogram_csv(path)
+        assert back == hist and back.label == label
+
+    @settings(max_examples=100)
+    @given(multigraph_inventories())
+    def test_profile_bounds(self, drawn):
+        inv, raw, words = drawn
+        stream = load_corpus(self.text(raw, words, inv.separator), inv)
+        assume(stream.token_count >= 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # short streams undersample
+            h = entropy_profile(stream, inv, 3).entropies
+        # within the rounding EntropyProfile itself allows
+        assert h[0] == math.log2(inv.symbol_count)
+        assert all(0.0 <= x <= h[0] + 1e-9 for x in h)
+        assert all(later <= earlier + 1e-9 for earlier, later in zip(h, h[1:]))

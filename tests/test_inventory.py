@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from wordlen.ingest import load_wordlist
 from wordlen.inventory import (
     PRESET_NAMES,
     InventoryError,
-    build_inventory,
+    SymbolInventory,
     load_inventory_file,
     preset_inventory,
     resolve_inventory,
@@ -20,20 +21,20 @@ EXPECTED_SYMBOL_COUNTS = {
 
 
 def test_symbol_count_includes_separator():
-    inv = build_inventory("abcdefghijklmnopqrstuvwxyz")
+    inv = SymbolInventory("abcdefghijklmnopqrstuvwxyz")
     assert inv.symbol_count == 27
     assert inv.separator_index == 26
     assert inv.symbols[-1] == " "
 
 
 def test_minimal_inventory():
-    inv = build_inventory(["a"])
+    inv = SymbolInventory(["a"])
     assert inv.symbol_count == 2
 
 
 def test_multicharacter_symbol_counts_once():
     letters = [chr(ord("a") + i) for i in range(23)] + ["ch"]
-    inv = build_inventory(letters)
+    inv = SymbolInventory(letters)
     assert inv.symbol_count == 25
 
 
@@ -48,35 +49,48 @@ def test_all_presets_present():
 
 def test_duplicate_letter_rejected():
     with pytest.raises(InventoryError, match="duplicate"):
-        build_inventory(["a", "b", "a"])
+        SymbolInventory(["a", "b", "a"])
 
 
 def test_case_fold_collision_rejected():
     with pytest.raises(InventoryError, match="duplicate"):
-        build_inventory(["A", "a"])
+        SymbolInventory(["A", "a"])
     # without folding they are distinct symbols
-    assert build_inventory(["A", "a"], case_fold=False).symbol_count == 3
+    assert SymbolInventory(["A", "a"], case_fold=False).symbol_count == 3
 
 
 def test_nfc_collision_rejected():
     composed = "é"            # é as one code point
     decomposed = "é"         # e + combining acute
     with pytest.raises(InventoryError, match="duplicate"):
-        build_inventory([composed, decomposed])
+        SymbolInventory([composed, decomposed])
+
+
+def test_constructor_owns_the_normal_form():
+    # the type itself normalises; no wrapper is needed for any of these
+    assert SymbolInventory(tuple("ABC")).letters == ("a", "b", "c")
+    assert SymbolInventory(["a", "b"]).symbols == ("a", "b", " ")
+    assert SymbolInventory(("CH", "A"), separator="X").symbols == ("ch", "a", "x")
+    assert SymbolInventory(["é"], case_fold=False).letters == ("é",)
+    assert SymbolInventory(tuple("ABC")) == SymbolInventory("abc")
+    assert load_wordlist("abc\nCab\n", SymbolInventory(tuple("ABC"))) == [3, 3]
+    for pair in (("a", "A"), ("\u00e9", "e\u0301")):  # case, then composed/decomposed
+        with pytest.raises(InventoryError, match="duplicate"):
+            SymbolInventory(pair)
 
 
 def test_separator_listed_as_letter_rejected():
     with pytest.raises(InventoryError, match="separator"):
-        build_inventory(["a", " "], separator=" ")
+        SymbolInventory(["a", " "], separator=" ")
 
 
 def test_empty_inputs_rejected():
     with pytest.raises(InventoryError):
-        build_inventory([])
+        SymbolInventory([])
     with pytest.raises(InventoryError):
-        build_inventory(["a", ""])
+        SymbolInventory(["a", ""])
     with pytest.raises(InventoryError):
-        build_inventory(["a"], separator="")
+        SymbolInventory(["a"], separator="")
 
 
 def test_unknown_preset():
