@@ -549,6 +549,122 @@ def test_implied_and_predict_exact_bytes(tmp_path, capsys, fmt, implied, predict
     assert capsys.readouterr().out == predicted
 
 
+
+ENTROPY_CORPORA = {
+    "english": "The cat sat on the mat.\nThe dog ate the cat's hat!\n",
+    "swahili": "Chai na chakula cha mchana.\nWatoto wanacheza chini ya mti.\n",
+}
+ENTROPY_CSV = {
+    "english": """\
+# label=english
+order,entropy_bits,windows,adequate
+0,4.75,48,true
+1,3.07,46,true
+2,1.15,46,false
+3,0.46,46,false
+""",
+    "swahili": """\
+# label=swahili
+order,entropy_bits,windows,adequate
+0,4.64,50,true
+1,3.39,47,true
+2,1.28,47,false
+3,0.57,47,false
+4,0.27,47,false
+""",
+}
+ENTROPY_JSON = {
+    "english": """\
+{
+  "label": "english",
+  "inventory_symbols": 27,
+  "sample_tokens": 48,
+  "orders": [
+    {
+      "order": 0,
+      "entropy_bits": 4.754887502163468,
+      "windows": 48,
+      "adequate": true
+    },
+    {
+      "order": 1,
+      "entropy_bits": 3.074251293004873,
+      "windows": 46,
+      "adequate": true
+    },
+    {
+      "order": 2,
+      "entropy_bits": 1.154769901712255,
+      "windows": 46,
+      "adequate": false
+    },
+    {
+      "order": 3,
+      "entropy_bits": 0.4612887162798609,
+      "windows": 46,
+      "adequate": false
+    }
+  ]
+}
+""",
+    "swahili": """\
+{
+  "label": "swahili",
+  "inventory_symbols": 25,
+  "sample_tokens": 50,
+  "orders": [
+    {
+      "order": 0,
+      "entropy_bits": 4.643856189774724,
+      "windows": 50,
+      "adequate": true
+    },
+    {
+      "order": 1,
+      "entropy_bits": 3.390706121959449,
+      "windows": 47,
+      "adequate": true
+    },
+    {
+      "order": 2,
+      "entropy_bits": 1.2750649103390974,
+      "windows": 47,
+      "adequate": false
+    },
+    {
+      "order": 3,
+      "entropy_bits": 0.5748840427373159,
+      "windows": 47,
+      "adequate": false
+    },
+    {
+      "order": 4,
+      "entropy_bits": 0.27138058515241603,
+      "windows": 47,
+      "adequate": false
+    }
+  ]
+}
+""",
+}
+ENTROPY_WARNING = {
+    "english": "stream of 48 tokens cannot adequately sample order >= 2 over 27 symbols",
+    "swahili": "stream of 50 tokens cannot adequately sample order >= 2 over 25 symbols",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("preset, max_order", [("english", 3), ("swahili", 4)])
+def test_entropy_exact_bytes(tmp_path, capsys, preset, max_order, fmt):
+    # the Swahili corpus holds the one-symbol digraph ch
+    corpus = tmp_path / f"{preset}.txt"
+    corpus.write_text(ENTROPY_CORPORA[preset], encoding="utf-8")
+    assert run(["entropy", corpus, "--inventory", preset, "--max-order", max_order,
+                "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == {"csv": ENTROPY_CSV, "json": ENTROPY_JSON}[fmt][preset]
+    assert captured.err == f"wordlen entropy: warning: {ENTROPY_WARNING[preset]}\n"
+
 class TestSimulateCommand:
     def test_identical_seeds_byte_identical_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
