@@ -30,7 +30,7 @@ def show(profile, title):
     for order in range(profile.max_order + 1):
         print(
             f"  {order:>5}  {profile.entropies[order]:>8.3f}"
-            f"  {int(profile.window_counts[order]):>8,}"
+            f"  {profile.window_counts[order]:>8,}"
             f"   {'yes' if profile.adequate[order] else 'NO'}"
         )
     print()
@@ -52,11 +52,7 @@ def main():
         for _ in range(180)
     )
     stream = load_corpus(text, inv)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the flag column says it already
-        profile = entropy_profile(stream, inv, max_order=3)
+    profile = entropy_profile(stream, inv, max_order=3)
     show(profile, f"  ({stream.token_count} tokens)")
 
 

@@ -4,7 +4,7 @@ The package has four layers:
 
   ingest       word lists and corpora -> symbol-index form
   lengthmodel  the one-parameter distinct-word-length model and its fit
-  ngram        n-gram counts and conditional entropy estimation
+  ngram        conditional entropy estimation from n-gram counts
   bridge       conversions between entropies and distinct-word counts
 
 plus a bag-model ``simulate`` layer used as an independent check of the
@@ -59,8 +59,6 @@ _HOMES = {
     ),
     "ngram": (
         "EntropyProfile",
-        "NgramCountTable",
-        "count_ngrams",
         "entropy_profile",
     ),
     "report": (

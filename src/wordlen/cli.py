@@ -160,15 +160,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    import warnings
-
     inv = resolve_inventory(args.inventory)
     stream = _cli.load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        profile = _cli.entropy_profile(stream, inv, args.max_order)
-    for warning in caught:
-        print(f"wordlen entropy: warning: {warning.message}", file=sys.stderr)
+    profile = _cli.entropy_profile(stream, inv, args.max_order)
+    if not all(profile.adequate):
+        print(f"wordlen entropy: warning: stream of {profile.sample_tokens} tokens cannot "
+              f"adequately sample order >= {profile.adequate.index(False)} over "
+              f"{profile.inventory_symbols} symbols", file=sys.stderr)
     artifact = report.profile_artifact(profile, label=args.label or Path(args.corpus).stem)
     report.write_artifact(artifact, args.format, args.out)
     return 0

@@ -42,6 +42,8 @@ class SymbolStream:
 
     The separator index is ``alphabet_size - 1``; runs of separators are
     collapsed on load, so no two consecutive elements are separators.
+    ``symbols`` is a read-only view, so the range checked here still holds
+    when ``entropy_profile`` reads it.
     """
 
     symbols: np.ndarray
@@ -54,9 +56,10 @@ class SymbolStream:
     def __post_init__(self) -> None:
         import numpy as np
 
-        sym = np.asarray(self.symbols)
-        if sym.dtype.kind not in "iu":  # keep the loader's narrow integer dtype
-            sym = sym.astype(np.int64)
+        sym = np.asarray(self.symbols).view()
+        if sym.dtype.kind not in "iu":
+            raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
+        sym.flags.writeable = False
         object.__setattr__(self, "symbols", sym)
         if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet_size):
             raise ValueError("symbol index outside inventory")

@@ -1,4 +1,4 @@
-"""N-gram counting and conditional symbol entropies.
+"""Conditional symbol entropies from n-gram counts.
 
 The order-n conditional entropy is the uncertainty of the next symbol given
 the n-1 symbols before it,
@@ -10,13 +10,13 @@ plug-in estimate is biased low once contexts get sparse; profiles therefore
 carry a per-order adequacy flag (stream shorter than L**n windows cannot
 sample order n).
 
-Counts have one form, ``NgramCountTable``: the sorted distinct codes of a
-stream's width-k windows (base L, first symbol most significant) and their
-counts. ``count_ngrams`` counts slices of a stream, each reading k-1
-symbols past its end, and sums their counts per code into the one-pass table.
-``entropy_profile`` counts once at the top order and reads every H_n off
-marginals of that table (``code % L**n`` codes a window's last n symbols),
-which makes these hold exactly on any input:
+``entropy_profile`` is the one entry. It checks its input once and counts
+the stream's width-k windows at the top order k, as sorted distinct codes
+(base L, first symbol most significant) and their counts, summing the counts
+of slices of the stream that each read k-1 symbols past their end. Every H_n
+is read off marginals of that one table (``code % L**n`` codes a window's
+last n symbols), and each is clamped to [0, H_{n-1}] so that rounding never
+lifts it above the order before. These hold exactly on any input:
 
     0 <= H_n <= log2(L)        and        H_n <= H_{n-1}
 
@@ -26,7 +26,6 @@ so the adjacent-symbol mutual information H_1 - H_2 is never negative.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,68 +39,15 @@ _CODE_BITS = 62
 _SLICE_WINDOWS = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class NgramCountTable:
-    """Sorted distinct codes of width-``order`` windows over ``base`` symbols,
-    with the positive int64 count of each."""
-
-    order: int
-    base: int
-    codes: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        codes, counts = (np.asarray(a, dtype=np.int64) for a in (self.codes, self.counts))
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "counts", counts)
-        if self.order < 1 or self.base < 2:
-            raise ValueError("order must be >= 1 and base >= 2")
-        if codes.ndim != 1 or codes.shape != counts.shape:
-            raise ValueError("codes and counts must be 1-D and of equal length")
-        if np.any(np.diff(codes) <= 0) or np.any(counts <= 0):
-            raise ValueError("codes must be sorted and distinct, counts positive")
-        if codes.size and (codes[0] < 0 or int(codes[-1]) >= self.base**self.order):
-            raise ValueError(f"code outside 0..{self.base}**{self.order}")
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys and the summed counts of each."""
     uniq, inverse = np.unique(keys, return_inverse=True)
     return uniq, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
-def count_ngrams(
-    stream: SymbolStream | np.ndarray,
-    inventory: SymbolInventory | int,
-    order: int,
-) -> NgramCountTable:
-    """Count all width-``order`` windows (stream length - order + 1 of them)
-    of a stream whose symbols must lie in 0..symbol_count-1; a
-    ``SymbolStream`` must have been loaded over that many symbols."""
-    if isinstance(inventory, SymbolInventory):
-        inventory = inventory.symbol_count
-    base = int(inventory)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if base < 2:
-        raise ValueError("symbol count must be >= 2")
-    if order * math.log2(base) > _CODE_BITS:
-        raise ValueError(f"order {order} over {base} symbols exceeds int64 window coding")
-    if isinstance(stream, SymbolStream):
-        if stream.alphabet_size != base:
-            raise ValueError(f"stream of {stream.alphabet_size} symbols does not match "
-                             f"an inventory of {base}")
-        stream = stream.symbols
-    sym = np.asarray(stream)
-    if sym.size < order:
-        raise ValueError(f"stream of {sym.size} symbols is too short for order {order}")
-    if sym.min() < 0 or sym.max() >= base:
-        raise ValueError(f"symbol indices {sym.min()}..{sym.max()} outside 0..{base - 1}")
-
+def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct int64 codes of the width-``order`` windows of ``sym``,
+    whose symbols lie in 0..base-1, and the int64 count of each."""
     # windows are coded one slice at a time, in the narrowest dtype that
     # holds every code, so memory stays near the stream's own width and each
     # np.unique sorts narrow keys; the slice tables are summed once
@@ -116,8 +62,12 @@ def count_ngrams(
             codes *= base
             codes += sym[lo + k : hi + k]
         slices.append(np.unique(codes, return_counts=True))
+    # rebinding codes frees the last slice's window codes before the sum
     codes, counts = (np.concatenate(parts) for parts in zip(*slices))
-    return NgramCountTable(order, base, *_sum_by(codes, counts))
+    uniq, summed = _sum_by(codes, counts)
+    # widened, so that a marginal's modulus L**n fits even where L**order
+    # fills the narrow dtype
+    return uniq.astype(np.int64), summed
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -136,26 +86,34 @@ class EntropyProfile:
     """
 
     entropies: np.ndarray
-    window_counts: np.ndarray
-    adequate: np.ndarray
     sample_tokens: int
     inventory_symbols: int
 
     def __post_init__(self) -> None:
         h = np.asarray(self.entropies, dtype=float)
         object.__setattr__(self, "entropies", h)
-        object.__setattr__(self, "window_counts", np.asarray(self.window_counts))
-        object.__setattr__(self, "adequate", np.asarray(self.adequate, dtype=bool))
-        if abs(h[0] - math.log2(self.inventory_symbols)) > 1e-9:
+        if h[0] != math.log2(self.inventory_symbols):
             raise ValueError("order-0 entropy must equal log2(symbol count)")
-        if np.any(h < -1e-9) or np.any(h > h[0] + 1e-9):
+        if np.any(h < 0) or np.any(h > h[0]):
             raise ValueError("entropy outside [0, log2 L]")
-        if np.any(np.diff(h) > 1e-9):
+        if np.any(np.diff(h) > 0):
             raise ValueError("entropies must be non-increasing with order")
+        if self.sample_tokens < self.max_order:
+            raise ValueError(f"{self.sample_tokens} tokens hold no order-{self.max_order} window")
 
     @property
     def max_order(self) -> int:
         return len(self.entropies) - 1
+
+    @property
+    def window_counts(self) -> tuple[int, ...]:
+        windows = self.sample_tokens - self.max_order + 1
+        return (self.sample_tokens,) + (windows,) * self.max_order
+
+    @property
+    def adequate(self) -> tuple[bool, ...]:
+        return tuple(self.sample_tokens >= self.inventory_symbols**order
+                     for order in range(self.max_order + 1))
 
 
 def entropy_profile(
@@ -163,38 +121,44 @@ def entropy_profile(
     inventory: SymbolInventory | int,
     max_order: int = 3,
 ) -> EntropyProfile:
-    """Estimate conditional entropies of orders 0..max_order from one stream.
+    """Estimate conditional entropies of orders 0..max_order from one stream
+    of integer symbols in 0..symbol_count-1; a ``SymbolStream`` must have
+    been loaded over that many symbols.
 
     All orders are marginals of one top-order table: H_n = H(last n symbols
     of a window) - H(the n-1 before the target). They differ from
     separately-counted tables only at the first max_order-1 positions.
-
-    A warning is emitted for orders the stream cannot adequately sample
-    (tokens < L**order); those entries are also flagged in ``adequate``.
+    Orders the stream cannot adequately sample (tokens < L**order) are
+    flagged in ``adequate``.
     """
+    base = inventory.symbol_count if isinstance(inventory, SymbolInventory) else int(inventory)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    table = count_ngrams(stream, inventory, max_order)
-    symbol_count, windows = table.base, table.total
-    tokens = windows + max_order - 1
+    if base < 2:
+        raise ValueError("symbol count must be >= 2")
+    if max_order * math.log2(base) > _CODE_BITS:
+        raise ValueError(f"order {max_order} over {base} symbols exceeds int64 window coding")
+    if isinstance(stream, SymbolStream):
+        if stream.alphabet_size != base:
+            raise ValueError(f"stream of {stream.alphabet_size} symbols does not match "
+                             f"an inventory of {base}")
+        sym = stream.symbols  # its dtype and range were checked when it was built
+    else:
+        sym = np.asarray(stream)
+        if sym.dtype.kind not in "iu":
+            raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
+        if sym.size and (sym.min() < 0 or sym.max() >= base):
+            raise ValueError(f"symbol indices {sym.min()}..{sym.max()} outside 0..{base - 1}")
+    if sym.size < max_order:
+        raise ValueError(f"stream of {sym.size} symbols is too short for order {max_order}")
 
-    entropies = [math.log2(symbol_count)]
+    codes, counts = _count_windows(sym, base, max_order)
+    entropies = [math.log2(base)]
     for order in range(1, max_order + 1):
-        tail, tail_counts = _sum_by(table.codes % symbol_count**order, table.counts)
+        tail, tail_counts = _sum_by(codes % base**order, counts)
         joint = _entropy(tail_counts)
         context = 0.0
         if order > 1:  # the order-1 symbols before the target
-            context = _entropy(_sum_by(tail // symbol_count, tail_counts)[1])
-        entropies.append(max(joint - context, 0.0))
-
-    window_counts = np.array([tokens] + [windows] * max_order)
-    adequate = np.array([tokens >= symbol_count**order for order in range(max_order + 1)])
-    if not adequate.all():
-        first_bad = int(np.argmin(adequate))
-        warnings.warn(
-            f"stream of {tokens} tokens cannot adequately sample order "
-            f">= {first_bad} over {symbol_count} symbols",
-            stacklevel=2,
-        )
-    return EntropyProfile(np.array(entropies), window_counts, adequate, tokens,
-                          symbol_count)
+            context = _entropy(_sum_by(tail // base, tail_counts)[1])
+        entropies.append(min(max(joint - context, 0.0), entropies[-1]))
+    return EntropyProfile(np.array(entropies), sym.size, base)

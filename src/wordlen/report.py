@@ -266,8 +266,8 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
         (
             order,
             float(profile.entropies[order]),
-            int(profile.window_counts[order]),
-            bool(profile.adequate[order]),
+            profile.window_counts[order],
+            profile.adequate[order],
         )
         for order in range(profile.max_order + 1)
     ]
@@ -291,9 +291,17 @@ def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
                    for o in raw["orders"]]
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: not an entropy profile file") from err
-    for order, bits, _ in entries:
+    seen = set()
+    for (order, bits, _), raw_entry in zip(entries, raw["orders"]):
+        if order in seen:
+            raise ValueError(f"{path}: order {order}: listed twice")
+        seen.add(order)
         if not 0.0 <= bits < math.inf:  # also false for NaN
             raise ValueError(f"{path}: order {order}: entropy must be finite and >= 0, got {bits}")
+        adequate = raw_entry.get("adequate", False)
+        if not isinstance(adequate, bool):
+            raise ValueError(f"{path}: order {order}: adequate must be true or false, "
+                             f"got {json.dumps(adequate)}")
     return entries
 
 

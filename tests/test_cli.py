@@ -208,6 +208,20 @@ class TestEntropyCommand:
         assert rows[0]["adequate"] == "true"
         assert rows[3]["adequate"] == "false"
 
+    def test_entropy_never_rises_with_order(self, tmp_path):
+        # H_3 was written one rounding step above H_2, as 0.3333333333333335
+        inventory = tmp_path / "inv.json"
+        inventory.write_text(json.dumps({"letters": ["a", "A", "b"], "case_fold": False}),
+                             encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("aaA aAba", encoding="utf-8")
+        out = tmp_path / "p.json"
+        assert run(["entropy", corpus, "--inventory", inventory, "--max-order", "3",
+                    "--format", "json", "--out", out]) == 0
+        h = [entry["entropy_bits"] for entry in json.loads(out.read_text())["orders"]]
+        assert h[2] == 0.33333333333333326
+        assert h[3] == h[2]
+
     def test_csv_rounds_json_keeps_precision(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("abcabd " * 300, encoding="utf-8")
@@ -268,7 +282,6 @@ class TestPredictCommand:
         assert out.splitlines()[0] == "length,entropy_bits,predicted_words,predicted_rounded"
         assert out.splitlines()[1].endswith(",139")
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_profile_driven_batch(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("abcabd abdacb " * 400, encoding="utf-8")
@@ -311,6 +324,24 @@ class TestPredictCommand:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
             f"wordlen predict: {profile}: order 3: entropy must be finite and >= 0, got {shown}"]
+
+    @pytest.mark.parametrize("entries, problem", [
+        ('{"order": 2, "entropy_bits": 3.5}, {"order": 2, "entropy_bits": 3.4}',
+         "order 2: listed twice"),
+        ('{"order": 2, "entropy_bits": 3.5, "adequate": "no"}',
+         'order 2: adequate must be true or false, got "no"'),
+        ('{"order": 2, "entropy_bits": 3.5, "adequate": 1}',
+         "order 2: adequate must be true or false, got 1"),
+        ('{"order": 2, "entropy_bits": 3.5, "adequate": null}',
+         "order 2: adequate must be true or false, got null"),
+    ], ids=["repeated-order", "adequate-string", "adequate-number", "adequate-null"])
+    def test_refuses_inconsistent_profile(self, tmp_path, entries, problem):
+        # a repeated order used to print two rows, and "no" to pass as adequate
+        profile = tmp_path / "p.json"
+        profile.write_text(f'{{"orders": [{entries}]}}', encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile, "--orders", "2")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [f"wordlen predict: {profile}: {problem}"]
 
     @pytest.mark.parametrize("body, problem", [
         ('{"orders": [', "not JSON: Expecting value: line 1 column 13 (char 12)"),

@@ -18,6 +18,7 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, check=False)
+    # -W error: a demo may neither print a warning nor need to silence one
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
+                          text=True, env=env, check=False)
     assert proc.returncode == 0, proc.stderr

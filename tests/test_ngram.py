@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from wordlen import ngram
 from wordlen.ingest import load_corpus
 from wordlen.inventory import preset_inventory
-from wordlen.ngram import (
-    EntropyProfile,
-    NgramCountTable,
-    count_ngrams,
-    entropy_profile,
-)
+from wordlen.ngram import EntropyProfile, _count_windows, entropy_profile
 
 # entropy rate of a two-state chain that stays put with probability 0.9
 MARKOV_RATE = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
@@ -51,38 +46,40 @@ def coded_streams(draw):
 class TestCounting:
     def test_hand_counted_digrams(self):
         # windows 01 10 02 20 01, coded base 3: 1 3 2 6 1
-        table = count_ngrams(np.array([0, 1, 0, 2, 0, 1]), 3, 2)
-        assert (table.order, table.base) == (2, 3)
-        assert table.codes.tolist() == [1, 2, 3, 6]
-        assert table.counts.tolist() == [2, 1, 1, 1]
-        assert table.counts.dtype == np.int64
-        assert table.total == 5
+        codes, counts = _count_windows(np.array([0, 1, 0, 2, 0, 1]), 3, 2)
+        assert codes.tolist() == [1, 2, 3, 6]
+        assert counts.tolist() == [2, 1, 1, 1]
+        assert codes.dtype == counts.dtype == np.int64
+        assert counts.sum() == 5
 
     def test_window_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(1, 5))
             stream = rng.integers(0, 4, size=int(rng.integers(n, 200)))
-            assert count_ngrams(stream, 4, n).total == stream.size - n + 1
+            assert _count_windows(stream, 4, n)[1].sum() == stream.size - n + 1
 
     def test_uniform_unigram_counts_within_sampling_bounds(self):
         rng = np.random.default_rng(11)
-        table = count_ngrams(rng.integers(0, 4, size=10**6), 4, 1)
-        assert table.codes.tolist() == [0, 1, 2, 3]
+        codes, counts = _count_windows(rng.integers(0, 4, size=10**6), 4, 1)
+        assert codes.tolist() == [0, 1, 2, 3]
         sigma = math.sqrt(10**6 * 0.25 * 0.75)
-        assert np.all(np.abs(table.counts - 250_000) <= 3 * sigma)
+        assert np.all(np.abs(counts - 250_000) <= 3 * sigma)
 
     def test_stream_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            count_ngrams(np.array([0, 1]), 2, 3)
-        with pytest.raises(ValueError):
-            count_ngrams(np.array([0, 1]), 2, 0)
+        inv = preset_inventory("english")
+        with pytest.raises(ValueError, match="stream of 2 symbols is too short for order 3"):
+            entropy_profile(load_corpus("ab", inv), inv, 3)
+        with pytest.raises(ValueError, match="stream of 0 symbols is too short for order 1"):
+            entropy_profile(np.array([], dtype=np.int64), 2, 1)
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            entropy_profile(load_corpus("ab", inv), inv, 0)
 
     def test_accepts_symbol_stream(self):
         inv = preset_inventory("english")
         stream = load_corpus("abab", inv)
-        assert count_ngrams(stream, inv, 2).total == 3
-        assert count_ngrams(stream, inv.symbol_count, 2).total == 3
+        assert entropy_profile(stream, inv, 2).window_counts[-1] == 3
+        assert entropy_profile(stream, inv.symbol_count, 2).window_counts[-1] == 3
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -91,12 +88,12 @@ class TestCounting:
         order = data.draw(st.integers(1, 4))
         stream = np.array(data.draw(st.lists(st.integers(0, symbols - 1),
                                              min_size=order, max_size=300)))
-        whole = count_ngrams(stream, symbols, order)
+        whole = _count_windows(stream, symbols, order)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ngram, "_SLICE_WINDOWS", data.draw(st.integers(1, stream.size + 1)))
-            sliced = count_ngrams(stream, symbols, order)
-        assert np.array_equal(sliced.codes, whole.codes)
-        assert np.array_equal(sliced.counts, whole.counts)
+            sliced = _count_windows(stream, symbols, order)
+        assert np.array_equal(sliced[0], whole[0])
+        assert np.array_equal(sliced[1], whole[1])
 
     @pytest.mark.parametrize("symbols, order", [(27, 3), (25, 4), (27, 12)])
     def test_wide_codes_match_python_integers(self, symbols, order):
@@ -105,12 +102,12 @@ class TestCounting:
         want = Counter(sum(int(s) * symbols ** (order - 1 - k)
                            for k, s in enumerate(stream[i:i + order]))
                        for i in range(stream.size - order + 1))
-        table = count_ngrams(stream.astype(np.uint8), symbols, order)
-        assert dict(zip(table.codes.tolist(), table.counts.tolist())) == want
+        codes, counts = _count_windows(stream.astype(np.uint8), symbols, order)
+        assert dict(zip(codes.tolist(), counts.tolist())) == want
 
     def test_code_width_guard(self):
         with pytest.raises(ValueError, match="coding"):
-            count_ngrams(np.arange(27).repeat(3), 27, 40)
+            entropy_profile(np.arange(27).repeat(3), 27, 40)
         with pytest.raises(ValueError, match="coding"):
             entropy_profile(np.arange(27).repeat(3), 27, 14)
 
@@ -122,7 +119,14 @@ class TestCounting:
             entropy_profile(np.array([0, -1, 1, 2] * 100), 3, 2)
         # symbol 2 = base would code the window 02 as 10
         with pytest.raises(ValueError, match=r"symbol indices 0\.\.2 outside 0\.\.1"):
-            count_ngrams(np.array([0, 0, 2]), 2, 2)
+            entropy_profile(np.array([0, 0, 2]), 2, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+    def test_symbols_must_be_integers(self, dtype):
+        # a float stream used to be truncated, [0.5, 1.7, ...] read as [0, 1, ...]
+        stream = np.array([0.5, 1.7, 0.2, 1.9, 0.4]).astype(dtype)
+        with pytest.raises(ValueError, match=f"must be integers, not {np.dtype(dtype)}"):
+            entropy_profile(stream, 2, 1)
 
     def test_stream_alphabet_must_match_inventory(self):
         # a 25-symbol Swahili stream used to be read as English, H_0 = log2 27
@@ -131,21 +135,7 @@ class TestCounting:
         with pytest.raises(ValueError, match="stream of 25 symbols .* inventory of 27"):
             entropy_profile(stream, english, 2)
         with pytest.raises(ValueError, match="stream of 25 symbols .* inventory of 27"):
-            count_ngrams(stream, 27, 1)
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            NgramCountTable(2, 3, [1, 1], [1, 1])  # repeated code
-        with pytest.raises(ValueError):
-            NgramCountTable(2, 3, [2, 1], [1, 1])  # unsorted
-        with pytest.raises(ValueError):
-            NgramCountTable(2, 3, [1, 2], [1, 0])  # zero count
-        with pytest.raises(ValueError):
-            NgramCountTable(2, 3, [1, 9], [1, 1])  # 9 needs three base-3 digits
-        with pytest.raises(ValueError):
-            NgramCountTable(2, 3, [1, 2], [1])
-        with pytest.raises(ValueError):
-            NgramCountTable(0, 3, [], [])
+            entropy_profile(stream, 27, 1)
 
 
 class TestConditionalEntropy:
@@ -160,14 +150,13 @@ class TestConditionalEntropy:
         h = entropy_profile(stream, 4, 1).entropies[1]
         assert h == pytest.approx(2.0, abs=0.01)
         # plug-in first-order entropy equals the plain entropy of the counts
-        counts = count_ngrams(stream, 4, 1).counts.tolist()
+        counts = _count_windows(stream, 4, 1)[1].tolist()
         assert h == pytest.approx(plain_entropy(counts), rel=1e-12)
 
     def test_markov_second_order(self):
         profile = entropy_profile(markov_stream(10**6, seed=42), 2, 2)
         assert profile.entropies[2] == pytest.approx(MARKOV_RATE, abs=0.005)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_zero_order_entropy(self):
         # H_0 = log2 L, as the reference tables print it
         def h0(symbols):
@@ -181,12 +170,10 @@ class TestConditionalEntropy:
 
 
 class TestProfile:
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_order_zero_is_alphabet_entropy(self):
         profile = entropy_profile(np.array([0, 1, 2, 0, 1]), 27, 2)
         assert profile.entropies[0] == pytest.approx(math.log2(27))
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=100, deadline=None)
     @given(coded_streams())
     def test_matches_counter_reference(self, drawn):
@@ -199,10 +186,18 @@ class TestProfile:
     def test_small_corpus_flags_high_orders(self):
         rng = np.random.default_rng(8)
         stream = rng.integers(0, 24, size=1050)
-        with pytest.warns(UserWarning, match="order >= 3"):
-            profile = entropy_profile(stream, 24, 3)
-        assert bool(profile.adequate[2]) is True   # 24**2 = 576 <= 1050
-        assert bool(profile.adequate[3]) is False  # 24**3 = 13824 > 1050
+        profile = entropy_profile(stream, 24, 3)
+        # 24**2 = 576 <= 1050 < 24**3 = 13824
+        assert profile.adequate == (True, True, True, False)
+
+    @pytest.mark.parametrize("symbols, order", [(2, 8), (4, 4), (16, 4), (2, 16)])
+    def test_codes_that_fill_their_dtype(self, symbols, order):
+        # L**order is 2**8 or 2**16, one past the largest code of its dtype
+        stream = np.random.default_rng(order).integers(0, symbols, 3000)
+        profile = entropy_profile(stream, symbols, order)
+        for n in range(1, order + 1):
+            want = counter_plugin_entropy(stream.tolist(), n, order)
+            assert profile.entropies[n] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_memoryless_source_is_flat(self):
         rng = np.random.default_rng(21)
@@ -211,7 +206,6 @@ class TestProfile:
         assert profile.entropies[1] == pytest.approx(profile.entropies[0], abs=0.01)
         assert profile.entropies[2] == pytest.approx(profile.entropies[1], abs=0.01)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_monotone_and_bounded_on_random_corpora(self):
         # guaranteed by construction, including on tiny adversarial streams
         rng = np.random.default_rng(17)
@@ -220,13 +214,12 @@ class TestProfile:
             stream = rng.integers(0, symbols, size=int(rng.integers(3, 500)))
             profile = entropy_profile(stream, symbols, 3)
             h = profile.entropies
-            assert np.all(np.diff(h) <= 1e-9)
-            assert np.all(h >= -1e-12) and np.all(h <= math.log2(symbols) + 1e-12)
+            assert np.all(np.diff(h) <= 0)
+            assert np.all(h >= 0) and np.all(h <= math.log2(symbols))
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_adversarial_three_symbol_stream(self):
         profile = entropy_profile(np.array([0, 0, 1]), 2, 2)
-        assert profile.entropies[2] <= profile.entropies[1] + 1e-9
+        assert profile.entropies[2] <= profile.entropies[1]
 
     def test_close_to_pairwise_tables_on_long_streams(self):
         stream = markov_stream(200_000, seed=5)
@@ -251,7 +244,8 @@ class TestProfile:
         stream = np.array([0, 1, 0, 1, 0])
         profile = entropy_profile(stream, 2, 2)
         assert profile.sample_tokens == 5
-        assert list(profile.window_counts) == [5, 4, 4]
+        assert profile.window_counts == (5, 4, 4)
+        assert profile.adequate == (True, True, True)
 
     def test_too_short_stream(self):
         with pytest.raises(ValueError, match="too short"):
@@ -261,14 +255,18 @@ class TestProfile:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="non-increasing"):
-            EntropyProfile(
-                np.array([1.0, 0.3, 0.5]), np.array([5, 4, 4]),
-                np.array([True, True, True]), 5, 2,
-            )
+            EntropyProfile(np.array([1.0, 0.3, 0.5]), 5, 2)
+        # no rounding slack: one step above the order before is refused
+        with pytest.raises(ValueError, match="non-increasing"):
+            EntropyProfile(np.array([1.0, 0.3, np.nextafter(0.3, 1)]), 5, 2)
+        with pytest.raises(ValueError, match="outside"):
+            EntropyProfile(np.array([1.0, -1e-300]), 5, 2)
         with pytest.raises(ValueError, match="log2"):
-            EntropyProfile(
-                np.array([0.9, 0.3]), np.array([5, 4]), np.array([True, True]), 5, 2,
-            )
+            EntropyProfile(np.array([0.9, 0.3]), 5, 2)
+        # window counts are derived, and a token short of one window would read -1
+        with pytest.raises(ValueError, match="1 tokens hold no order-2 window"):
+            EntropyProfile(np.array([1.0, 0.5, 0.2]), 1, 2)
+        assert EntropyProfile(np.array([1.0, 0.5, 0.2]), 2, 2).window_counts == (2, 1, 1)
 
 
 class TestMutualInformation:
