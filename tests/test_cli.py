@@ -584,6 +584,8 @@ def test_implied_and_predict_exact_bytes(tmp_path, capsys, fmt, implied, predict
 ENTROPY_CORPORA = {
     "english": "The cat sat on the mat.\nThe dog ate the cat's hat!\n",
     "swahili": "Chai na chakula cha mchana.\nWatoto wanacheza chini ya mti.\n",
+    # the digraphs ne, se, te and to, alone and side by side
+    "meroitic": "Tenetose ne se te to.\nQore netesete mlo, kdi tonese!\n",
 }
 ENTROPY_CSV = {
     "english": """\
@@ -602,6 +604,14 @@ order,entropy_bits,windows,adequate
 2,1.28,47,false
 3,0.57,47,false
 4,0.27,47,false
+""",
+    "meroitic": """\
+# label=meroitic
+order,entropy_bits,windows,adequate
+0,4.58,34,true
+1,3.35,32,true
+2,1.40,32,false
+3,0.25,32,false
 """,
 }
 ENTROPY_JSON = {
@@ -677,17 +687,51 @@ ENTROPY_JSON = {
   ]
 }
 """,
+    "meroitic": """\
+{
+  "label": "meroitic",
+  "inventory_symbols": 24,
+  "sample_tokens": 34,
+  "orders": [
+    {
+      "order": 0,
+      "entropy_bits": 4.584962500721156,
+      "windows": 34,
+      "adequate": true
+    },
+    {
+      "order": 1,
+      "entropy_bits": 3.3501878900165245,
+      "windows": 32,
+      "adequate": true
+    },
+    {
+      "order": 2,
+      "entropy_bits": 1.3998121099834755,
+      "windows": 32,
+      "adequate": false
+    },
+    {
+      "order": 3,
+      "entropy_bits": 0.25,
+      "windows": 32,
+      "adequate": false
+    }
+  ]
+}
+""",
 }
 ENTROPY_WARNING = {
     "english": "stream of 48 tokens cannot adequately sample order >= 2 over 27 symbols",
     "swahili": "stream of 50 tokens cannot adequately sample order >= 2 over 25 symbols",
+    "meroitic": "stream of 34 tokens cannot adequately sample order >= 2 over 24 symbols",
 }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("preset, max_order", [("english", 3), ("swahili", 4)])
+@pytest.mark.parametrize("preset, max_order", [("english", 3), ("swahili", 4), ("meroitic", 3)])
 def test_entropy_exact_bytes(tmp_path, capsys, preset, max_order, fmt):
-    # the Swahili corpus holds the one-symbol digraph ch
+    # the Swahili corpus holds the one-symbol digraph ch, the Meroitic one four digraphs
     corpus = tmp_path / f"{preset}.txt"
     corpus.write_text(ENTROPY_CORPORA[preset], encoding="utf-8")
     assert run(["entropy", corpus, "--inventory", preset, "--max-order", max_order,
@@ -695,6 +739,16 @@ def test_entropy_exact_bytes(tmp_path, capsys, preset, max_order, fmt):
     captured = capsys.readouterr()
     assert captured.out == {"csv": ENTROPY_CSV, "json": ENTROPY_JSON}[fmt][preset]
     assert captured.err == f"wordlen entropy: warning: {ENTROPY_WARNING[preset]}\n"
+
+
+def test_entropy_strict_error_exact_bytes(tmp_path, capsys):
+    # the unknown c follows the digraph to, on the second line
+    corpus = tmp_path / "meroitic.txt"
+    corpus.write_text("Tenetose ne se\nkdi netoc tese\n", encoding="utf-8")
+    assert run(["entropy", corpus, "--inventory", "meroitic", "--strict"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "wordlen entropy: line 2: symbol 'c' not in inventory\n")
 
 class TestSimulateCommand:
     def test_identical_seeds_byte_identical_output(self, tmp_path):
