@@ -32,18 +32,13 @@ _HOMES = {
         "word_length_histogram",
     ),
     "inventory": (
-        "PRESET_NAMES",
         "InventoryError",
         "SymbolInventory",
-        "load_inventory_file",
         "preset_inventory",
-        "resolve_inventory",
     ),
     "lengthmodel": (
         "FitError",
-        "FittedLengthModel",
         "chi_square_p_value",
-        "chi_square_stat",
         "fit_p",
         "longest_word_estimate",
         "mean_approx",
@@ -62,11 +57,9 @@ _HOMES = {
         "entropy_profile",
     ),
     "report": (
-        "DEFAULT_SCALE_A",
         "WordLengthHistogram",
     ),
     "simulate": (
-        "MODES",
         "SimulationConfig",
         "draw_word_lengths",
     ),

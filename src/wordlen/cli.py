@@ -26,6 +26,8 @@ from . import lengthmodel, report, simulate
 from .inventory import PRESET_NAMES, SymbolInventory, read_utf8, resolve_inventory
 from .report import WordLengthHistogram
 
+_MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
+
 # each layer function read off this module and the module it comes from
 _LAYER_FUNCTIONS = {
     "load_wordlist": "ingest",
@@ -266,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         max_length = getattr(args, "max_length", None)  # None: implied left it unset
         if max_length is not None and max_length < 1:
             raise ValueError("max_length must be >= 1")
+        if max_length is not None and max_length > _MAX_LENGTH:
+            raise ValueError(f"max_length must be <= {_MAX_LENGTH}")
         return _COMMANDS[args.command](args)
     # InventoryError and TokenizationError are ValueErrors
     except (OSError, ValueError, lengthmodel.FitError) as err:

@@ -4,10 +4,11 @@ Word lists (one word per line, ``#`` comments allowed) become the length
 in symbols of each distinct normalised word; corpora become flat streams
 of symbol indices with single separators between words. Both split text by
 one greedy rule, ``_multigraph_pattern``: a regex over the multi-character
-symbols, longest first, takes such a symbol wherever one starts, and every
-other character is a symbol of its own. A word list needs only lengths, so
-it is read in plain Python; a corpus is coded block by block into one
-narrow numpy array, and numpy is imported only when one is loaded.
+symbols, longest first, replaces such a symbol by one character wherever
+one starts, and every other character is a symbol of its own. A word list
+needs only lengths and is read in plain Python; a corpus is coded block by
+block into one narrow numpy array, and numpy is imported only when one is
+loaded.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .inventory import SymbolInventory
+from .inventory import InventoryError, SymbolInventory
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -82,46 +83,23 @@ def _multigraph_pattern(symbols: Sequence[str]) -> re.Pattern | None:
     return re.compile("|".join(map(re.escape, multi))) if multi else None
 
 
-def _code_table(symbols: Sequence[str]) -> np.ndarray:
-    """Code of every code point: ``i`` for the one-character ``symbols[i]``,
-    ``len(symbols)`` for every other character."""
+def _code_table(symbols: Sequence[str]) -> tuple[np.ndarray, dict[str, str]]:
+    """Code of every code point, and the placeholder of each multi-character
+    symbol: the lone surrogate U+D800 + j for the j-th, which strict UTF-8
+    decoding never yields. ``symbols[i]`` and its placeholder code as ``i``,
+    every other character as ``len(symbols)``."""
     import numpy as np
 
+    multi = [s for s in symbols if len(s) > 1]
+    if len(multi) > 2048:  # U+D800..U+DFFF
+        raise InventoryError(f"{len(multi)} multi-character symbols; a corpus can be "
+                             "coded with at most 2048")
+    marks = {s: chr(0xD800 + j) for j, s in enumerate(multi)}
     unknown = len(symbols)
     table = np.full(0x110000, unknown, dtype=np.min_scalar_type(unknown))
     for i, sym in enumerate(symbols):
-        if len(sym) == 1:
-            table[ord(sym)] = i
-    return table
-
-
-def _encode(text: str, symbols: Sequence[str], table: np.ndarray,
-            pattern: re.Pattern | None) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``text`` into ``symbols`` by greedy longest match.
-
-    Returns one code per code point of ``text`` and a mask of the positions
-    where a token starts. A token is ``symbols[i]`` (code ``i``) or one
-    character no symbol matches (code ``len(symbols)``). ``table`` (from
-    ``_code_table``) codes every code point; then ``pattern`` (from
-    ``_multigraph_pattern``) overwrites the code at each match's start and
-    drops the rest of the match.
-    """
-    import numpy as np
-
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    codes = table[points]
-    starts = np.ones(codes.size, dtype=bool)
-    if pattern is not None:
-        index = {s: i for i, s in enumerate(symbols)}
-        matches = list(pattern.finditer(text))
-        at = np.fromiter(map(re.Match.start, matches), dtype=np.intp, count=len(matches))
-        found = np.fromiter(map(index.__getitem__, map(re.Match.group, matches)),
-                            dtype=codes.dtype, count=len(matches))
-        codes[at] = found
-        lengths = np.array([len(s) for s in symbols])[found]
-        for k in range(1, max(map(len, symbols))):
-            starts[at[lengths > k] + k] = False
-    return codes, starts
+        table[ord(marks.get(sym, sym))] = i
+    return table, marks
 
 
 def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list[int]:
@@ -160,43 +138,49 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     Unknown characters map to the separator in lenient mode (punctuation
     and digits act as word boundaries); strict mode raises on them, except
     that whitespace always counts as a separator. Separator runs collapse
-    to one and leading/trailing separators are trimmed.
+    to one and leading/trailing separators are trimmed. Text holding a lone
+    surrogate is refused where a symbol is longer than one character, as
+    such a symbol is coded as one.
 
     The text is normalised and coded in blocks, each cut just after the first
     ``"\\n"`` at least ``_BLOCK_CHARS`` characters on, so that memory beyond
     the text is one narrow code per token. NFC and ``str.lower`` (final
-    sigma included) never act across a ``"\\n"``, and no symbol match spans
-    one unless a symbol holds a ``"\\n"``; the text is then one block.
+    sigma included) never act across a ``"\\n"``, and no symbol holds one.
     """
     import numpy as np
 
-    symbols = inv.symbols
-    table, pattern = _code_table(symbols), _multigraph_pattern(symbols)
+    (table, marks), pattern = _code_table(inv.symbols), _multigraph_pattern(inv.symbols)
+    if pattern and not text.isascii() and (lone := re.search("[\ud800-\udfff]", text)):
+        raise ValueError(f"lone surrogate {lone[0]!r} at index {lone.start()} of the text")
     unknown, sep = inv.symbol_count, inv.separator_index
-    size = len(text) if any("\n" in s for s in symbols) else _BLOCK_CHARS
-    # every token starts at its own character, so only text that
+    # every token is at least one character, so only text that
     # normalisation lengthened can outgrow this
     out = np.empty(len(text), dtype=table.dtype)
     n = start = 0
     while start < len(text):
-        cut = text.find("\n", start + size - 1)
+        cut = text.find("\n", start + _BLOCK_CHARS - 1)
         end = len(text) if cut < 0 else cut + 1
         block = inv.normalize(text[start:end])
-        codes, starts = _encode(block, symbols, table, pattern)
+        # with each multi-character symbol replaced, every token is one character
+        if pattern:
+            block = pattern.sub(lambda m: marks[m[0]], block)
+        # numpy holds a str as UCS-4 code points; it would give an empty
+        # str one NUL, but no block is empty
+        codes = table[np.array([block]).view(np.uint32)]
         if strict:
-            for pos in np.flatnonzero(starts & (codes == unknown)):
+            for pos in np.flatnonzero(codes == unknown):
                 if not block[pos].isspace():
                     # lines counted as load_wordlist counts them, over the
-                    # whole normalised text: each earlier block ends in "\n"
+                    # whole normalised text: each earlier block ends in "\n",
+                    # and no placeholder stands for a line break
                     before = inv.normalize(text[:start]) + block[: pos + 1]
                     raise TokenizationError(f"symbol {block[pos]!r} not in inventory",
                                             line=len(before.splitlines()))
-        codes = codes[starts]
         codes[codes == unknown] = sep
         is_sep = codes == sep
         # a separator is kept only right after a letter; each block but the
-        # last ends in "\n", which codes as a separator as no symbol holds
-        # one, so a block's leading separator is always dropped
+        # last ends in "\n", which codes as a separator, so a block's
+        # leading separator is always dropped
         keep = ~is_sep
         keep[1:] |= ~is_sep[:-1]
         codes = codes[keep]

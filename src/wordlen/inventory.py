@@ -50,6 +50,9 @@ class SymbolInventory:
     that differ only in case or in combining-character encoding are
     rejected rather than kept as one that never matches.
 
+    No symbol may hold a character that ``str.splitlines`` breaks at:
+    text is read line by line, and no line can hold such a symbol.
+
     Greedy longest-match tokenization is used downstream; inventories where
     a multi-character symbol equals the concatenation of shorter ones (for
     instance letters "a", "b" and "ab" together) can mis-segment and are
@@ -96,6 +99,9 @@ class SymbolInventory:
             seen.add(sym)
         if not self.separator:
             raise InventoryError("separator must be a nonempty string")
+        for sym in self.symbols:
+            if sym.splitlines() != [sym]:
+                raise InventoryError(f"symbol {sym!r} holds a line break")
         if self.separator in seen:
             raise InventoryError(f"separator {self.separator!r} is also listed as a letter")
 
@@ -165,11 +171,9 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
     return SymbolInventory(letters, separator, case_fold, str(raw.get("name", Path(path).stem)))
 
 
-def resolve_inventory(spec: str | Path | SymbolInventory) -> SymbolInventory:
-    """Accept a preset name, a JSON file path, or an inventory instance."""
-    if isinstance(spec, SymbolInventory):
-        return spec
-    if isinstance(spec, str) and spec.lower() in _PRESET_LETTERS:
+def resolve_inventory(spec: str) -> SymbolInventory:
+    """Accept a preset name or a JSON file path."""
+    if spec.lower() in _PRESET_LETTERS:
         return preset_inventory(spec)
     path = Path(spec)
     if path.exists():

@@ -287,21 +287,31 @@ def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: not JSON: {err}") from None
     try:
-        entries = [(int(o["order"]), float(o["entropy_bits"]), o.get("adequate"))
-                   for o in raw["orders"]]
-    except (KeyError, TypeError, ValueError) as err:
+        fields = [(o["order"], o["entropy_bits"], o) for o in raw["orders"]]
+    except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: not an entropy profile file") from err
-    seen = set()
-    for (order, bits, _), raw_entry in zip(entries, raw["orders"]):
+    entries, seen = [], set()
+    for k, (order, bits, entry) in enumerate(fields, start=1):
+        # JSON true loads as a Python int, but is neither an order nor an entropy
+        if type(order) is not int:
+            raise ValueError(f"{path}: entry {k}: order must be an integer, got {json.dumps(order)}")
         if order in seen:
             raise ValueError(f"{path}: order {order}: listed twice")
         seen.add(order)
+        if type(bits) not in (int, float):
+            raise ValueError(f"{path}: order {order}: entropy must be a number, "
+                             f"got {json.dumps(bits)}")
+        try:
+            bits = float(bits)
+        except OverflowError:  # an integer past the largest double
+            bits = math.inf
         if not 0.0 <= bits < math.inf:  # also false for NaN
             raise ValueError(f"{path}: order {order}: entropy must be finite and >= 0, got {bits}")
-        adequate = raw_entry.get("adequate", False)
+        adequate = entry.get("adequate", False)
         if not isinstance(adequate, bool):
             raise ValueError(f"{path}: order {order}: adequate must be true or false, "
                              f"got {json.dumps(adequate)}")
+        entries.append((order, bits, entry.get("adequate")))
     return entries
 
 

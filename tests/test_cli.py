@@ -334,9 +334,18 @@ class TestPredictCommand:
          "order 2: adequate must be true or false, got 1"),
         ('{"order": 2, "entropy_bits": 3.5, "adequate": null}',
          "order 2: adequate must be true or false, got null"),
-    ], ids=["repeated-order", "adequate-string", "adequate-number", "adequate-null"])
+        ('{"order": 2.7, "entropy_bits": 3.0}', "entry 1: order must be an integer, got 2.7"),
+        ('{"order": 2, "entropy_bits": 3.5}, {"order": true, "entropy_bits": 3.0}',
+         "entry 2: order must be an integer, got true"),
+        ('{"order": 2, "entropy_bits": "4.5"}', 'order 2: entropy must be a number, got "4.5"'),
+        ('{"order": 2, "entropy_bits": false}', "order 2: entropy must be a number, got false"),
+        ('{"order": 2, "entropy_bits": 1' + "0" * 400 + "}",
+         "order 2: entropy must be finite and >= 0, got inf"),
+    ], ids=["repeated-order", "adequate-string", "adequate-number", "adequate-null",
+            "order-float", "order-bool", "entropy-string", "entropy-bool", "entropy-huge"])
     def test_refuses_inconsistent_profile(self, tmp_path, entries, problem):
-        # a repeated order used to print two rows, and "no" to pass as adequate
+        # a repeated order used to print two rows, "no" to pass as adequate,
+        # 2.7 and true to pass as orders 2 and 1, and "4.5" as an entropy
         profile = tmp_path / "p.json"
         profile.write_text(f'{{"orders": [{entries}]}}', encoding="utf-8")
         proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile, "--orders", "2")
@@ -345,7 +354,8 @@ class TestPredictCommand:
 
     @pytest.mark.parametrize("body, problem", [
         ('{"orders": [', "not JSON: Expecting value: line 1 column 13 (char 12)"),
-        ('{"orders": [{"order": "x", "entropy_bits": 3.5}]}', "not an entropy profile file"),
+        ('{"orders": [{"order": "x", "entropy_bits": 3.5}]}',
+         'entry 1: order must be an integer, got "x"'),
     ], ids=["truncated", "non-integer-order"])
     def test_unreadable_profile_names_path(self, tmp_path, body, problem):
         profile = tmp_path / "p.json"
@@ -955,9 +965,24 @@ def test_max_length_is_checked_before_any_work(monkeypatch, capsys, tmp_path, ar
         monkeypatch.setattr(module, name, unreachable)
     (tmp_path / "words.txt").write_text("a\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert run([*argv, "--max-length", "0"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"wordlen {argv[0]}: max_length must be >= 1"]
+    for max_length, problem in (("0", ">= 1"), ("10001", "<= 10000")):
+        assert run([*argv, "--max-length", max_length]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"wordlen {argv[0]}: max_length must be {problem}"]
+
+
+def test_far_max_length_is_refused_in_bounded_memory(tmp_path):
+    # a count per length up to 10**11 would need terabytes; the child's
+    # address space is capped so that a histogram started anyway fails fast
+    words = tmp_path / "words.txt"
+    words.write_text("a\n", encoding="utf-8")
+    proc = run_python("-c", (
+        "import resource, sys; cap = 1 << 30; "
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+        "from wordlen.cli import main; sys.exit(main(sys.argv[1:]))"),
+        "histogram", words, "--max-length", "99999999999")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["wordlen histogram: max_length must be <= 10000"]
 
 
 def test_fit_does_not_load_scipy(model_wordlist, tmp_path):

@@ -27,8 +27,6 @@ ENGLISH = preset_inventory("english")
 SWAHILI = preset_inventory("swahili")
 # "abc" splits greedily as ab + c; only backtracking would find a + bc
 OVERLAPPING = SymbolInventory(["a", "ab", "bc"])
-# a letter that spans a line break
-NEWLINE_LETTER = SymbolInventory(["a", "b", "ch", "a\nb"])
 # multigraphs over letters that normalisation composes, decomposes or case-maps
 ACCENTED = SymbolInventory(["a", "c", "ch", "e", "é", "ë", "i", "i\u0307", "s", "ss", "ß",
                             "σ", "ς", "\u0301"])
@@ -98,7 +96,7 @@ def wordlist_reference(text, inv, strict=False):
     order, by a position-by-position longest match of each line. In strict
     mode the first line whose word holds a character no letter matches
     raises, naming that character."""
-    letters = sorted((s for s in inv.letters if "\n" not in s), key=len, reverse=True)
+    letters = sorted(inv.letters, key=len, reverse=True)
     seen, lengths = set(), []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -215,7 +213,7 @@ class TestWordlist:
     @settings(max_examples=200)
     @given(st.data())
     def test_matches_greedy_reference(self, data):
-        letters = data.draw(st.lists(st.text(alphabet="abcé𝔞\n", min_size=1, max_size=3),
+        letters = data.draw(st.lists(st.text(alphabet="abcé𝔞", min_size=1, max_size=3),
                                      min_size=1, max_size=6, unique=True))
         separator = data.draw(st.sampled_from([" ", "_", "||", "-"]))
         assume(separator not in letters)
@@ -235,10 +233,16 @@ class TestWordlist:
             assert (wordlist_outcome(load_wordlist, text, inv, strict)
                     == wordlist_outcome(wordlist_reference, text, inv, strict))
 
-    def test_letter_with_line_break_never_joins_two_words(self):
-        inv = SymbolInventory(["a", "b", "a\nb"])
-        assert load_wordlist("a\nbb", inv, strict=True) == [1, 2]
-        assert load_corpus("a\nb", inv).symbols.tolist() == [2]
+    def test_symbol_with_line_break_is_refused(self):
+        # no line of a word list can hold such a symbol, and a corpus block
+        # may end inside one
+        for letters, separator, shown in ((["a", "b", "a\nb"], " ", "'a\\nb'"),
+                                          (["a", "b\r"], " ", "'b\\r'"),
+                                          (["a"], "\u2028", "'\\u2028'"),
+                                          (["a"], "-\n", "'-\\n'")):
+            with pytest.raises(InventoryError) as err:
+                SymbolInventory(letters, separator)
+            assert str(err.value).splitlines() == [f"symbol {shown} holds a line break"]
 
     def test_multi_character_separator_inside_word(self):
         inv = SymbolInventory(["a", "b"], separator="||")
@@ -289,6 +293,27 @@ class TestCorpus:
     def test_greedy_match_does_not_backtrack(self):
         assert list(load_corpus("abc", OVERLAPPING).symbols) == [1]  # ab; c is dropped
 
+    def test_lone_surrogate_is_refused_beside_multigraphs(self):
+        # a multigraph is coded as a lone surrogate, which would read as ch here
+        with pytest.raises(ValueError) as err:
+            load_corpus("chai\nna \ud800", SWAHILI)
+        assert str(err.value).splitlines() == [
+            "lone surrogate '\\ud800' at index 8 of the text"]
+        # without a multigraph it is an unknown character, as any other
+        assert load_corpus("ab\ud800c", ENGLISH).symbols.tolist() == [0, 1, 26, 2]
+        with pytest.raises(TokenizationError, match="symbol '\\\\ud800' not in inventory"):
+            load_corpus("ab\ud800c", ENGLISH, strict=True)
+
+    def test_at_most_2048_multigraphs(self):
+        # each takes one of the 2048 surrogates as its placeholder
+        pairs = [chr(0x4E00 + i) + "x" for i in range(2049)]
+        inv = SymbolInventory(pairs[:2048])
+        assert load_corpus(pairs[2047] + " " + pairs[0], inv).symbols.tolist() == [2047, 2048, 0]
+        with pytest.raises(InventoryError) as err:
+            load_corpus("x", SymbolInventory(pairs))
+        assert str(err.value).splitlines() == [
+            "2049 multi-character symbols; a corpus can be coded with at most 2048"]
+
     @settings(max_examples=200)
     @given(st.data())
     def test_matches_greedy_reference(self, data):
@@ -309,10 +334,9 @@ class TestCorpus:
         assert load_corpus(text, inv, strict).symbols.tolist() == want
 
     @settings(max_examples=150)
-    @given(st.sampled_from([SWAHILI, ACCENTED, NEWLINE_LETTER]),
+    @given(st.sampled_from([SWAHILI, ACCENTED]),
            st.lists(st.sampled_from(BLOCK_PIECES), max_size=25).map("".join),
            st.booleans())
-    @example(NEWLINE_LETTER, "a\nb", False)
     @example(SWAHILI, "ch\r\na\x0b\n\nx", True)
     @example(SWAHILI, "a\nİİİ", False)  # more tokens than characters
     def test_stream_does_not_depend_on_block_size(self, inv, text, strict):

@@ -15,6 +15,20 @@ def test_every_export_is_its_home_modules_object():
         assert getattr(value, "__module__", home.__name__) == home.__name__, name
 
 
+def test_exports_are_pinned():
+    # what the CLI, the demos, the paper's formulas and the criteria use;
+    # an addition is a deliberate change to this list
+    assert sorted(wordlen.__all__) == [
+        "EntropyProfile", "FitError", "InventoryError", "SimulationConfig", "SymbolInventory",
+        "SymbolStream", "TokenizationError", "WordLengthHistogram", "chi_square_p_value",
+        "draw_word_lengths", "entropy_from_p", "entropy_profile", "fit_p", "implied_entropy",
+        "load_corpus", "load_wordlist", "longest_word_estimate", "mean_approx", "mean_exact",
+        "model_count", "model_histogram", "observed_mean", "observed_stddev",
+        "predicted_distinct_words", "preset_inventory", "reliable_length_limit", "solve_b",
+        "stddev_approx", "vocab_total_approx", "word_length_histogram",
+    ]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         wordlen.no_such_name
