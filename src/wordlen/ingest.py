@@ -58,6 +58,8 @@ class SymbolStream:
         import numpy as np
 
         sym = np.asarray(self.symbols).view()
+        if sym.ndim != 1:
+            raise ValueError(f"symbol indices must be one-dimensional, not shape {sym.shape}")
         if sym.dtype.kind not in "iu":
             raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
         sym.flags.writeable = False
@@ -203,6 +205,11 @@ def word_length_histogram(
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     tally = Counter(lengths)
+    # only the distinct lengths are checked, so a long input pays nothing per
+    # length; Python and numpy integers have __index__, floats do not
+    for n in tally:
+        if not hasattr(n, "__index__"):
+            raise ValueError(f"length {n!r} is not an integer")
     if min(tally, default=1) < 1:
         raise ValueError("lengths must be >= 1")
     counts = [tally[n] for n in range(1, max_length + 1)]

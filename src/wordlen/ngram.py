@@ -12,9 +12,11 @@ sample order n).
 
 ``entropy_profile`` is the one entry. It checks its input once and counts
 the stream's width-k windows at the top order k, as sorted distinct codes
-(base L, first symbol most significant) and their counts, summing the counts
-of slices of the stream that each read k-1 symbols past their end. Every H_n
-is read off marginals of that one table (``code % L**n`` codes a window's
+(base L, first symbol most significant) and their counts. When the top
+order is adequately sampled (tokens >= L**k), slices of the stream are
+bincounted into one table of L**k cells; otherwise every window is coded
+once, in the narrowest dtype that holds its code, and sorted. Every H_n
+is read off marginals of those counts (``code % L**n`` codes a window's
 last n symbols), and each is clamped to [0, H_{n-1}] so that rounding never
 lifts it above the order before. These hold exactly on any input:
 
@@ -35,8 +37,8 @@ from .inventory import SymbolInventory
 
 # int64 window codes need order * log2(alphabet) to fit
 _CODE_BITS = 62
-# windows counted per slice
-_SLICE_WINDOWS = 1 << 20
+# windows per slice of a table count, coded in intp as np.bincount reads them
+_SLICE_WINDOWS = 1 << 18
 
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,29 +47,36 @@ def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return uniq, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
+def _window_codes(sym: np.ndarray, base: int, order: int, dtype) -> np.ndarray:
+    """Codes in ``dtype`` of the width-``order`` windows of ``sym``."""
+    n_windows = sym.size - order + 1
+    codes = sym[:n_windows].astype(dtype)
+    for k in range(1, order):
+        codes *= base
+        # added in the codes' dtype, where a signed stream and uint64 codes
+        # would meet in float64; symbols are in range, so the cast is exact
+        np.add(codes, sym[k : k + n_windows], out=codes, dtype=dtype, casting="unsafe")
+    return codes
+
+
 def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct int64 codes of the width-``order`` windows of ``sym``,
     whose symbols lie in 0..base-1, and the int64 count of each."""
-    # windows are coded one slice at a time, in the narrowest dtype that
-    # holds every code, so memory stays near the stream's own width and each
-    # np.unique sorts narrow keys; the slice tables are summed once
-    sym = sym.astype(np.min_scalar_type(base - 1), copy=False)
-    width = np.min_scalar_type(base**order - 1)
-    n_windows = sym.size - order + 1
-    slices = []
-    for lo in range(0, n_windows, _SLICE_WINDOWS):
-        hi = min(lo + _SLICE_WINDOWS, n_windows)
-        codes = sym[lo:hi].astype(width)
-        for k in range(1, order):
-            codes *= base
-            codes += sym[lo + k : hi + k]
-        slices.append(np.unique(codes, return_counts=True))
-    # rebinding codes frees the last slice's window codes before the sum
-    codes, counts = (np.concatenate(parts) for parts in zip(*slices))
-    uniq, summed = _sum_by(codes, counts)
+    cells = base**order
+    if sym.size >= cells:
+        # an adequately sampled order: one table of every code costs no more
+        # than one int64 per token
+        table = np.zeros(cells, dtype=np.int64)
+        for lo in range(0, sym.size - order + 1, _SLICE_WINDOWS):
+            part = sym[lo : lo + _SLICE_WINDOWS + order - 1]
+            table += np.bincount(_window_codes(part, base, order, np.intp), minlength=cells)
+        codes = np.flatnonzero(table)
+        return codes, table[codes]
     # widened, so that a marginal's modulus L**n fits even where L**order
     # fills the narrow dtype
-    return uniq.astype(np.int64), summed
+    codes, counts = np.unique(_window_codes(sym, base, order, np.min_scalar_type(cells - 1)),
+                              return_counts=True)
+    return codes.astype(np.int64), counts
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -92,6 +101,8 @@ class EntropyProfile:
     def __post_init__(self) -> None:
         h = np.asarray(self.entropies, dtype=float)
         object.__setattr__(self, "entropies", h)
+        if h.size == 0:
+            raise ValueError("a profile needs at least the order-0 entropy")
         if h[0] != math.log2(self.inventory_symbols):
             raise ValueError("order-0 entropy must equal log2(symbol count)")
         if np.any(h < 0) or np.any(h > h[0]):
@@ -145,6 +156,8 @@ def entropy_profile(
         sym = stream.symbols  # its dtype and range were checked when it was built
     else:
         sym = np.asarray(stream)
+        if sym.ndim != 1:
+            raise ValueError(f"symbol indices must be one-dimensional, not shape {sym.shape}")
         if sym.dtype.kind not in "iu":
             raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
         if sym.size and (sym.min() < 0 or sym.max() >= base):

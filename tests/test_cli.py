@@ -237,18 +237,21 @@ class TestEntropyCommand:
             # documented rendering rule: entropies print at 2 decimals
             assert row["entropy_bits"] == f"{entry['entropy_bits']:.2f}"
 
-    def test_memory_grows_by_at_most_2_5_bytes_per_character(self, tmp_path):
+    @pytest.mark.parametrize("preset, max_order", [("english", 3), ("swahili", 4)])
+    def test_memory_grows_by_at_most_2_5_bytes_per_character(self, tmp_path, preset, max_order):
         # the text is held once and the stream takes one byte per symbol;
-        # each child is started from a small launcher, since on Linux a
-        # child's ru_maxrss includes the peak RSS of the process that
-        # started it, and this one has loaded the test suite
+        # the Swahili words hold the digraph ch, one symbol, and count a
+        # denser order; each child is started from a small launcher, since
+        # on Linux a child's ru_maxrss includes the peak RSS of the process
+        # that started it, and this one has loaded the test suite
         launcher = ("import os, subprocess, sys\n"
                     "proc = subprocess.Popen(sys.argv[1:])\n"
                     "_, status, usage = os.wait4(proc.pid, 0)\n"
                     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        letters = {"english": "abcdefghijklmnopqrstuvwxyz",
+                   "swahili": tuple("abdefghijklmnoprstuvwyz") + ("ch",)}[preset]
         rng = random.Random(3)
-        words = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 11)))
-                 for _ in range(4000)]
+        words = ["".join(rng.choices(letters, k=rng.randint(1, 11))) for _ in range(4000)]
         picked = rng.choices(words, k=320_000)
         line_block = "".join(" ".join(picked[i : i + 10]) + ".\n"
                              for i in range(0, len(picked), 10))
@@ -257,7 +260,8 @@ class TestEntropyCommand:
             corpus = tmp_path / f"corpus{copies}.txt"
             corpus.write_text(line_block * copies, encoding="utf-8")
             proc = run_python("-c", launcher, sys.executable, "-m", "wordlen.cli", "entropy",
-                              corpus, "--out", os.devnull)
+                              corpus, "--inventory", preset, "--max-order", max_order,
+                              "--out", os.devnull)
             code, peak_kb = map(int, proc.stdout.split())
             assert code == 0, proc.stderr
             peaks[len(line_block) * copies] = peak_kb * 1024
@@ -759,6 +763,55 @@ def test_entropy_strict_error_exact_bytes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "", "wordlen entropy: line 2: symbol 'c' not in inventory\n")
+
+# a top order with fewer cells than tokens (27**2 = 729 against 2,213)
+TABLE_CSV = """\
+# label=english
+order,entropy_bits,windows,adequate
+0,4.75,2213,true
+1,4.53,2212,true
+2,4.21,2212,true
+"""
+TABLE_JSON = """\
+{
+  "label": "english",
+  "inventory_symbols": 27,
+  "sample_tokens": 2213,
+  "orders": [
+    {
+      "order": 0,
+      "entropy_bits": 4.754887502163468,
+      "windows": 2213,
+      "adequate": true
+    },
+    {
+      "order": 1,
+      "entropy_bits": 4.525582438845027,
+      "windows": 2212,
+      "adequate": true
+    },
+    {
+      "order": 2,
+      "entropy_bits": 4.212436412757501,
+      "windows": 2212,
+      "adequate": true
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, want", [("csv", TABLE_CSV), ("json", TABLE_JSON)])
+def test_entropy_adequate_top_order_exact_bytes(tmp_path, capsys, fmt, want):
+    rng = random.Random(17)
+    words = ["".join(rng.choices("etaoinshrdlucmfwypvbgkjqxz", k=rng.randint(1, 8)))
+             for _ in range(400)]
+    corpus = tmp_path / "english.txt"
+    corpus.write_text("".join(" ".join(words[i : i + 10]) + ".\n" for i in range(0, 400, 10)),
+                      encoding="utf-8")
+    assert run(["entropy", corpus, "--max-order", "2", "--format", fmt]) == 0
+    assert capsys.readouterr() == (want, "")
+
 
 class TestSimulateCommand:
     def test_identical_seeds_byte_identical_output(self, tmp_path):

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -376,6 +377,11 @@ class TestCorpus:
         with pytest.raises(ValueError, match="must be integers, not bool"):
             SymbolStream(np.array([True, False]), 27)
 
+    def test_stream_symbols_must_be_one_dimensional(self):
+        # a 2-D stream used to be accepted, and its windows coded across rows
+        with pytest.raises(ValueError, match=r"one-dimensional, not shape \(2, 3\)"):
+            SymbolStream(np.array([[0, 1, 0], [1, 0, 1]]), 27)
+
     def test_stream_symbols_are_read_only(self):
         # entropy_profile trusts the range a SymbolStream checked when built
         stream = load_corpus("abc abd", ENGLISH)
@@ -449,6 +455,12 @@ class TestHistogram:
             WordLengthHistogram(np.array([-1]), 1)
         with pytest.raises(IndexError):
             WordLengthHistogram(np.array([1]), 1).count(2)
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"])
+    def test_lengths_must_be_integers(self, bad):
+        # 1.5 used to land in no cell, a total of 2 for 3 lengths
+        with pytest.raises(ValueError, match=re.escape(f"length {bad!r} is not an integer")):
+            word_length_histogram([bad, 2, 60], 50)
 
     def test_rejects_bad_max_length(self):
         with pytest.raises(ValueError):

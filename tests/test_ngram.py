@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -105,6 +106,40 @@ class TestCounting:
         codes, counts = _count_windows(stream.astype(np.uint8), symbols, order)
         assert dict(zip(codes.tolist(), counts.tolist())) == want
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+    @pytest.mark.parametrize("symbols, order", [(27, 12), (2, 62)])
+    def test_any_integer_stream_codes_exactly(self, symbols, order, dtype):
+        # a signed stream added into uint64 codes went through float64 and
+        # lost the low bits of codes past 2**53
+        stream = np.random.default_rng(order).integers(0, symbols, 2000)
+        want = _count_windows(stream.astype(np.uint8), symbols, order)
+        got = _count_windows(stream.astype(dtype), symbols, order)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_counts_equal_a_counter_of_window_tuples(self, data):
+        # streams of at least L**order tokens take the table count, shorter
+        # ones the sort; both sides of that rule are drawn
+        order = data.draw(st.integers(1, 5))
+        if data.draw(st.booleans(), label="table"):
+            symbols = data.draw(st.integers(2, min(30, int(1500 ** (1 / order)))))
+            size = data.draw(st.integers(symbols**order, symbols**order + 300))
+        else:
+            symbols = data.draw(st.integers(2, 30))
+            size = data.draw(st.integers(order, min(symbols**order - 1, 500)))
+        dtype = data.draw(st.sampled_from([np.uint8, np.int16, np.int64, np.uint64]))
+        stream = np.array(data.draw(st.lists(st.integers(0, symbols - 1),
+                                             min_size=size, max_size=size)), dtype=dtype)
+        want = Counter(tuple(stream[i:i + order].tolist())
+                       for i in range(size - order + 1))
+        codes, counts = _count_windows(stream, symbols, order)
+        assert codes.dtype == counts.dtype == np.int64
+        assert np.all(np.diff(codes) > 0)
+        windows = [tuple(int(c) // symbols ** (order - 1 - k) % symbols for k in range(order))
+                   for c in codes]
+        assert dict(zip(windows, counts.tolist())) == want
+
     def test_code_width_guard(self):
         with pytest.raises(ValueError, match="coding"):
             entropy_profile(np.arange(27).repeat(3), 27, 40)
@@ -126,6 +161,13 @@ class TestCounting:
         # a float stream used to be truncated, [0.5, 1.7, ...] read as [0, 1, ...]
         stream = np.array([0.5, 1.7, 0.2, 1.9, 0.4]).astype(dtype)
         with pytest.raises(ValueError, match=f"must be integers, not {np.dtype(dtype)}"):
+            entropy_profile(stream, 2, 1)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (), (1, 6)])
+    def test_symbols_must_be_one_dimensional(self, shape):
+        # a 2-D array used to be coded across its rows, as 6 tokens
+        stream = np.array([0, 1, 0, 1, 0, 1][: math.prod(shape)]).reshape(shape)
+        with pytest.raises(ValueError, match=rf"one-dimensional, not shape {re.escape(str(shape))}"):
             entropy_profile(stream, 2, 1)
 
     def test_stream_alphabet_must_match_inventory(self):
@@ -267,6 +309,9 @@ class TestProfile:
         with pytest.raises(ValueError, match="1 tokens hold no order-2 window"):
             EntropyProfile(np.array([1.0, 0.5, 0.2]), 1, 2)
         assert EntropyProfile(np.array([1.0, 0.5, 0.2]), 2, 2).window_counts == (2, 1, 1)
+        # no order-0 entropy to check the others against
+        with pytest.raises(ValueError, match="order-0 entropy"):
+            EntropyProfile(np.array([]), 5, 2)
 
 
 class TestMutualInformation:
