@@ -813,6 +813,125 @@ def test_entropy_adequate_top_order_exact_bytes(tmp_path, capsys, fmt, want):
     assert capsys.readouterr() == (want, "")
 
 
+# a small seeded run in both modes; at --max-length 5 more than half the words overflow
+SIMULATE_BYTES = {
+    ("forced_first_letter", "csv", 12): """\
+# source=simulated
+# label=simulated
+length,count
+1,252
+2,192
+3,183
+4,158
+5,160
+6,121
+7,112
+8,95
+9,81
+10,64
+11,61
+12,64
+overflow,456
+""",
+    ("forced_first_letter", "json", 12): """\
+{
+  "source": "simulated",
+  "label": "simulated",
+  "max_length": 12,
+  "counts": [
+    252,
+    192,
+    183,
+    158,
+    160,
+    121,
+    112,
+    95,
+    81,
+    64,
+    61,
+    64
+  ],
+  "overflow": 456,
+  "p": 0.883,
+  "symbols": 27,
+  "words": 1999,
+  "seed": 42,
+  "mode": "forced_first_letter",
+  "empirical_mean_length": 8.630815407703851,
+  "token_mean_analytic": 8.547008547008547,
+  "distinct_word_mean_model": 9.101519873796851
+}
+""",
+    ("reject_empty", "csv", 12): """\
+# source=simulated
+# label=simulated
+length,count
+1,225
+2,216
+3,180
+4,177
+5,146
+6,124
+7,112
+8,89
+9,71
+10,66
+11,66
+12,61
+overflow,466
+""",
+    ("reject_empty", "json", 12): """\
+{
+  "source": "simulated",
+  "label": "simulated",
+  "max_length": 12,
+  "counts": [
+    225,
+    216,
+    180,
+    177,
+    146,
+    124,
+    112,
+    89,
+    71,
+    66,
+    66,
+    61
+  ],
+  "overflow": 466,
+  "p": 0.883,
+  "symbols": 27,
+  "words": 1999,
+  "seed": 42,
+  "mode": "reject_empty",
+  "empirical_mean_length": 8.692346173086543,
+  "token_mean_analytic": 8.547008547008547,
+  "distinct_word_mean_model": 9.101519873796851
+}
+""",
+    ("forced_first_letter", "csv", 5): """\
+# source=simulated
+# label=simulated
+length,count
+1,252
+2,192
+3,183
+4,158
+5,160
+overflow,1054
+""",
+}
+
+
+@pytest.mark.parametrize("mode, fmt, max_length", list(SIMULATE_BYTES))
+def test_simulate_exact_bytes(capsys, mode, fmt, max_length):
+    assert run(["simulate", "--p", "0.883", "--symbols", "27", "--words", "1999", "--seed", "42",
+                "--mode", mode, "--max-length", max_length, "--format", fmt]) == 0
+    assert capsys.readouterr() == (SIMULATE_BYTES[mode, fmt, max_length], "")
+
+
 class TestSimulateCommand:
     def test_identical_seeds_byte_identical_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
