@@ -11,7 +11,9 @@ A subcommand imports only the layers it runs, and only ``entropy`` and
 ``word_length_histogram``, ``load_corpus`` and ``entropy_profile`` are
 attributes of this module, loaded on first access, and the commands call
 them through the module, so replacing one here (to trace or count calls)
-reaches every command.
+reaches every command. ``word_length_histogram`` bins word lists only:
+``simulate`` bins each block of draws in ``simulate.length_histogram`` and
+never holds the drawn lengths, so its memory does not grow with ``--words``.
 """
 
 from __future__ import annotations
@@ -238,10 +240,8 @@ def _cmd_simulate(args) -> int:
         p=args.p, symbols=args.symbols, word_target=args.words,
         seed=args.seed, mode=args.mode,
     )
-    lengths = simulate.draw_word_lengths(cfg)
-    # a memoryview yields the lengths as Python ints without copying them
-    hist = _cli.word_length_histogram(memoryview(lengths), args.max_length, label="simulated")
-    artifact = report.simulation_artifact(cfg, hist, float(lengths.mean()))
+    hist, mean = simulate.length_histogram(cfg, args.max_length, label="simulated")
+    artifact = report.simulation_artifact(cfg, hist, mean)
     report.write_artifact(artifact, args.format, args.out)
     return 0
 

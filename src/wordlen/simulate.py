@@ -18,12 +18,21 @@ form. The mean token length is 1/(1-p) under either convention. Note that
 this is a token mean: it is not the distinct-word mean -1/(p ln p) of the
 fitted length model, and the two are reported side by side in simulation
 output rather than reconciled.
+
+The draws are made in fixed blocks, and one private generator yields each
+block's word lengths. ``draw_word_lengths`` copies them into one array;
+``length_histogram`` bins each block as it comes and keeps only the counts
+and the sum of the lengths, so its memory does not grow with the number of
+words.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
+
+from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,10 +55,19 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly between 0 and 1")
+        # numpy integers pass and are stored as ints; floats and strings fail
+        for name in ("symbols", "word_target", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.symbols < 2:
             raise ValueError("symbol count must be >= 2")
         if self.word_target < 1:
             raise ValueError("word_target must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         # a word takes 1/(1-p) trials; reject_empty keeps a fraction p of them
@@ -61,25 +79,20 @@ class SimulationConfig:
                              f"need about {trials:.3g} Bernoulli trials, more than {MAX_TRIALS}")
 
 
-def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
-    """Generate ``word_target`` word lengths from the bag process.
+def _blocks(cfg: SimulationConfig) -> Iterator[np.ndarray]:
+    """The word lengths of each block of draws, in order, ``word_target`` in all.
 
-    The generator draws fixed blocks of letter/separator Bernoulli trials
-    and reads word lengths off the runs between separators, so the length
-    law is emergent rather than assumed. ``Generator.random`` yields the same
-    doubles however its draws are cut, so the block size changes memory use,
-    not the output; identical configs (seed included) produce identical output.
+    ``Generator.random`` yields the same doubles however its draws are cut,
+    so the block size changes memory use, not the lengths; identical
+    configs (seed included) yield identical lengths. Every block allocates
+    the same few arrays, so the peak memory is the same whatever the seed.
     """
     import numpy as np
 
     rng = np.random.default_rng(cfg.seed)
-    # filled in place: no list of per-block arrays to join, and every block
-    # allocates the same few arrays, so the peak memory is the same whatever
-    # the seed
-    lengths = np.empty(cfg.word_target, dtype=np.int64)
-    produced = 0
+    left = cfg.word_target
     carry = 0  # letters of a word left unfinished by the previous block
-    while produced < cfg.word_target:
+    while left > 0:
         is_letter = rng.random(_BLOCK_TRIALS) < cfg.p
         sep_positions = np.flatnonzero(~is_letter)
         if sep_positions.size == 0:
@@ -89,10 +102,47 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
         runs[0] += carry
         carry = _BLOCK_TRIALS - int(sep_positions[-1]) - 1
         if cfg.mode == "forced_first_letter":
-            block_lengths = runs + 1
+            lengths = (runs + 1)[:left]
         else:
-            block_lengths = runs[runs > 0]
-        take = min(block_lengths.size, cfg.word_target - produced)
-        lengths[produced : produced + take] = block_lengths[:take]
-        produced += take
+            lengths = runs[runs > 0][:left]
+        left -= lengths.size
+        yield lengths
+
+
+def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
+    """Generate ``word_target`` word lengths from the bag process.
+
+    The generator draws fixed blocks of letter/separator Bernoulli trials
+    and reads word lengths off the runs between separators, so the length
+    law is emergent rather than assumed.
+    """
+    import numpy as np
+
+    lengths = np.empty(cfg.word_target, dtype=np.int64)
+    produced = 0
+    for block in _blocks(cfg):
+        lengths[produced : produced + block.size] = block
+        produced += block.size
     return lengths
+
+
+def length_histogram(
+    cfg: SimulationConfig, max_length: int, label: str = ""
+) -> tuple[WordLengthHistogram, float]:
+    """The histogram and the mean of ``draw_word_lengths(cfg)``, without the lengths.
+
+    Each block is binned as it is drawn, with lengths past ``max_length`` in
+    one overflow cell. The sum of the lengths is an exact integer, so the
+    mean is the same correctly rounded double as the array's ``mean()``.
+    """
+    import numpy as np
+
+    if max_length < 1:
+        raise ValueError("max_length must be >= 1")
+    counts = np.zeros(max_length + 2, dtype=np.int64)  # cell 0 stays empty
+    total = 0
+    for block in _blocks(cfg):
+        counts += np.bincount(np.minimum(block, max_length + 1), minlength=max_length + 2)
+        total += int(block.sum())
+    hist = WordLengthHistogram(counts[1:-1].tolist(), max_length, int(counts[-1]), label=label)
+    return hist, total / cfg.word_target

@@ -34,6 +34,24 @@ def run_python(*args, env=None):
                           env={**inherited, "PYTHONPATH": SRC, **(env or {})}, check=False)
 
 
+def cli_peak_rss(*argv):
+    """Peak RSS in bytes of one ``wordlen`` call that writes to the null device.
+
+    The call is started from a small launcher, since on Linux a child's
+    ru_maxrss includes the peak RSS of the process that started it, and
+    this one has loaded the test suite.
+    """
+    launcher = ("import os, subprocess, sys\n"
+                "proc = subprocess.Popen(sys.argv[1:])\n"
+                "_, status, usage = os.wait4(proc.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    proc = run_python("-c", launcher, sys.executable, "-m", "wordlen.cli", *argv,
+                      "--out", os.devnull)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return peak_kb * 1024
+
+
 def parse_csv(path):
     """(comments, header, rows) of one of our CSV artifacts."""
     comments, header, rows = [], None, []
@@ -241,13 +259,7 @@ class TestEntropyCommand:
     def test_memory_grows_by_at_most_2_5_bytes_per_character(self, tmp_path, preset, max_order):
         # the text is held once and the stream takes one byte per symbol;
         # the Swahili words hold the digraph ch, one symbol, and count a
-        # denser order; each child is started from a small launcher, since
-        # on Linux a child's ru_maxrss includes the peak RSS of the process
-        # that started it, and this one has loaded the test suite
-        launcher = ("import os, subprocess, sys\n"
-                    "proc = subprocess.Popen(sys.argv[1:])\n"
-                    "_, status, usage = os.wait4(proc.pid, 0)\n"
-                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        # denser order
         letters = {"english": "abcdefghijklmnopqrstuvwxyz",
                    "swahili": tuple("abdefghijklmnoprstuvwyz") + ("ch",)}[preset]
         rng = random.Random(3)
@@ -259,12 +271,8 @@ class TestEntropyCommand:
         for copies in (1, 4):
             corpus = tmp_path / f"corpus{copies}.txt"
             corpus.write_text(line_block * copies, encoding="utf-8")
-            proc = run_python("-c", launcher, sys.executable, "-m", "wordlen.cli", "entropy",
-                              corpus, "--inventory", preset, "--max-order", max_order,
-                              "--out", os.devnull)
-            code, peak_kb = map(int, proc.stdout.split())
-            assert code == 0, proc.stderr
-            peaks[len(line_block) * copies] = peak_kb * 1024
+            peaks[len(line_block) * copies] = cli_peak_rss(
+                "entropy", corpus, "--inventory", preset, "--max-order", max_order)
         (small, small_peak), (large, large_peak) = sorted(peaks.items())
         assert small > 1_900_000 and large > 7_600_000
         slope = (large_peak - small_peak) / (large - small)
@@ -977,6 +985,16 @@ class TestSimulateCommand:
         assert payload["empirical_mean_length"] == pytest.approx(1 / 0.117, abs=0.2)
         assert payload["source"] == "simulated"
 
+    def test_memory_does_not_grow_with_the_word_count(self):
+        # each block of draws is binned as it comes, and no length is kept
+        peaks = [cli_peak_rss("simulate", "--p", "0.883", "--symbols", "27", "--words", words)
+                 for words in (1_000_000, 8_000_000)]
+        assert abs(peaks[1] - peaks[0]) <= 2 << 20, f"{peaks[0] >> 10} vs {peaks[1] >> 10} kB"
+
+    def test_bad_seed_is_refused_in_one_line(self, capsys):
+        assert run(["simulate", "--p", "0.5", "--symbols", "27", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "wordlen simulate: seed must be >= 0\n")
+
 
 class TestInventoryOption:
     def test_inventory_file_is_accepted(self, tmp_path):
@@ -1133,7 +1151,7 @@ def test_max_length_is_checked_before_any_work(monkeypatch, capsys, tmp_path, ar
         raise AssertionError("work started before --max-length was checked")
 
     for module, name in ((cli, "read_utf8"), (cli, "load_wordlist"),
-                         (simulate, "draw_word_lengths")):
+                         (simulate, "draw_word_lengths"), (simulate, "length_histogram")):
         monkeypatch.setattr(module, name, unreachable)
     (tmp_path / "words.txt").write_text("a\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -1261,5 +1279,6 @@ def test_layer_calls_go_through_cli_names(monkeypatch, model_wordlist, tmp_path)
                  ["implied", model_wordlist], ["entropy", corpus, "--max-order", "1"],
                  ["simulate", "--p", "0.5", "--symbols", "27", "--words", "100"]):
         assert run([*argv, "--out", out]) == 0
-    assert calls == {"load_wordlist": 3, "word_length_histogram": 4,
+    # simulate bins its draws in simulate.length_histogram, not through these
+    assert calls == {"load_wordlist": 3, "word_length_histogram": 3,
                      "load_corpus": 1, "entropy_profile": 1}

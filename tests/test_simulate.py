@@ -1,8 +1,12 @@
+import collections
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordlen import simulate
 from wordlen.ingest import word_length_histogram
@@ -73,6 +77,23 @@ class TestDrawLengths:
         with pytest.raises(ValueError):
             SimulationConfig(0.5, 5, 10, 1, mode="maybe")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("symbols", 27.5, "symbols must be an integer, not 27.5"),
+        ("word_target", 10.5, "word_target must be an integer, not 10.5"),
+        ("seed", 1.5, "seed must be an integer, not 1.5"),
+        ("seed", "1", "seed must be an integer, not '1'"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_counts_and_seed_are_checked_where_the_config_is_made(self, field, value, message):
+        fields = {"p": 0.5, "symbols": 27, "word_target": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(**fields)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = SimulationConfig(0.5, np.int64(27), np.uint16(10), np.int32(1))
+        assert [type(x) for x in (cfg.symbols, cfg.word_target, cfg.seed)] == [int] * 3
+        assert cfg == SimulationConfig(0.5, 27, 10, 1)
+
 
     @pytest.mark.parametrize("p, words, mode, trials", [
         (1e-6, 1000, "reject_empty", "1e+09"),
@@ -96,7 +117,7 @@ class TestDrawLengths:
 
 
 class TestEmpiricalDistribution:
-    # token lengths from the bag simulation bin through word_length_histogram
+    # word_length_histogram over token lengths, as a caller of draw_word_lengths bins them
     def test_hand_counts(self):
         hist = word_length_histogram([1, 1, 2], 2, label="simulated")
         assert hist.count(1) == 2 and hist.count(2) == 1
@@ -126,3 +147,28 @@ def test_lengths_do_not_depend_on_block_size(monkeypatch, mode, p):
         monkeypatch.setattr(simulate, "_BLOCK_TRIALS", block)
         assert np.array_equal(draw_word_lengths(cfg), want)
 
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(0.02, 0.98),
+    mode=st.sampled_from(simulate.MODES),
+    seed=st.integers(0, 2**64 - 1),
+    words=st.integers(1, 200),
+    max_length=st.integers(1, 60),
+)
+def test_counts_equal_the_drawn_lengths(block, p, mode, seed, words, max_length):
+    # small blocks cut words across blocks, so the carry between them is exercised
+    cfg = SimulationConfig(p, 27, words, seed, mode)
+    with mock.patch.object(simulate, "_BLOCK_TRIALS", block):
+        lengths = draw_word_lengths(cfg)
+        hist, mean = simulate.length_histogram(cfg, max_length)
+    want = collections.Counter(lengths.tolist())
+    assert list(hist.counts) == [want[n] for n in range(1, max_length + 1)]
+    assert hist.overflow == sum(c for n, c in want.items() if n > max_length)
+    assert mean == float(lengths.mean())
+
+
+def test_length_histogram_needs_a_cell():
+    with pytest.raises(ValueError, match="max_length must be >= 1"):
+        simulate.length_histogram(SimulationConfig(0.5, 27, 10, 1), 0)
