@@ -240,7 +240,7 @@ def _cmd_simulate(args) -> int:
         p=args.p, symbols=args.symbols, word_target=args.words,
         seed=args.seed, mode=args.mode,
     )
-    hist, mean = simulate.length_histogram(cfg, args.max_length, label="simulated")
+    hist, mean = simulate.length_histogram(cfg, args.max_length)
     artifact = report.simulation_artifact(cfg, hist, mean)
     report.write_artifact(artifact, args.format, args.out)
     return 0

@@ -126,9 +126,7 @@ def draw_word_lengths(cfg: SimulationConfig) -> np.ndarray:
     return lengths
 
 
-def length_histogram(
-    cfg: SimulationConfig, max_length: int, label: str = ""
-) -> tuple[WordLengthHistogram, float]:
+def length_histogram(cfg: SimulationConfig, max_length: int) -> tuple[WordLengthHistogram, float]:
     """The histogram and the mean of ``draw_word_lengths(cfg)``, without the lengths.
 
     Each block is binned as it is drawn, with lengths past ``max_length`` in
@@ -144,5 +142,5 @@ def length_histogram(
     for block in _blocks(cfg):
         counts += np.bincount(np.minimum(block, max_length + 1), minlength=max_length + 2)
         total += int(block.sum())
-    hist = WordLengthHistogram(counts[1:-1].tolist(), max_length, int(counts[-1]), label=label)
+    hist = WordLengthHistogram(counts[1:-1].tolist(), max_length, int(counts[-1]), "simulated")
     return hist, total / cfg.word_target

@@ -442,7 +442,7 @@ class TestHistogram:
 
     @pytest.mark.parametrize("kind", [np.asarray, memoryview, iter], ids=lambda f: f.__name__)
     def test_counts_do_not_depend_on_input_kind(self, kind):
-        # simulate passes a memoryview of its length array
+        # any iterable of integers, a memoryview of an int64 array included
         lengths = np.random.default_rng(3).geometric(0.2, size=500)
         want = word_length_histogram(lengths.tolist(), 12)
         got = word_length_histogram(kind(lengths), 12)

@@ -117,7 +117,7 @@ class TestDrawLengths:
 
 
 class TestEmpiricalDistribution:
-    # word_length_histogram over token lengths, as a caller of draw_word_lengths bins them
+    # token lengths as draw_word_lengths returns them, binned by word_length_histogram
     def test_hand_counts(self):
         hist = word_length_histogram([1, 1, 2], 2, label="simulated")
         assert hist.count(1) == 2 and hist.count(2) == 1
