@@ -149,7 +149,7 @@ def test_lengths_do_not_depend_on_block_size(monkeypatch, mode, p):
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     p=st.floats(0.02, 0.98),
     mode=st.sampled_from(simulate.MODES),
