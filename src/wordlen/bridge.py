@@ -33,8 +33,8 @@ def predicted_distinct_words(entropy_bits: float, length: int) -> float:
 
 def implied_entropy(word_count: float, length: int) -> float:
     """Entropy (bits/symbol) a count of distinct words implies, log2(W)/N."""
-    if word_count < 1.0:
-        raise ValueError("word count must be >= 1")
+    if not 1.0 <= word_count < math.inf:  # also false for NaN
+        raise ValueError(f"word count must be finite and >= 1, got {word_count}")
     if length < 1:
         raise ValueError("length must be >= 1")
     return math.log2(word_count) / length

@@ -19,7 +19,6 @@ never holds the drawn lengths, so its memory does not grow with ``--words``.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 from pathlib import Path
@@ -30,21 +29,15 @@ from .report import WordLengthHistogram
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
 
-# each layer function read off this module and the module it comes from
-_LAYER_FUNCTIONS = {
-    "load_wordlist": "ingest",
-    "word_length_histogram": "ingest",
-    "load_corpus": "ingest",
-    "entropy_profile": "ngram",
-}
+# the layer functions read off this module; each is loaded through the package
+_LAYER_FUNCTIONS = ("load_wordlist", "word_length_histogram", "load_corpus", "entropy_profile")
 _cli = sys.modules[__name__]  # the commands call the layer functions through it
 
 
 def __getattr__(name: str):
     if name not in _LAYER_FUNCTIONS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAYER_FUNCTIONS[name]}", __package__)
-    value = getattr(module, name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 

@@ -13,6 +13,7 @@ loaded.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -37,14 +38,35 @@ class TokenizationError(ValueError):
         self.line = line
 
 
+def _check_symbols(symbols, symbol_count) -> tuple[np.ndarray, int]:
+    """A read-only view of ``symbols`` and the count as an int, if the count is
+    an integer >= 2 and ``symbols`` a 1-D integer array in 0..count-1."""
+    import numpy as np
+
+    try:
+        base = operator.index(symbol_count)
+    except TypeError:
+        raise ValueError(f"symbol count must be an integer, not {symbol_count!r}") from None
+    if base < 2:
+        raise ValueError("symbol count must be >= 2")
+    sym = np.asarray(symbols).view()
+    if sym.ndim != 1:
+        raise ValueError(f"symbol indices must be one-dimensional, not shape {sym.shape}")
+    if sym.dtype.kind not in "iu":
+        raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
+    if sym.size and (sym.min() < 0 or sym.max() >= base):
+        raise ValueError(f"symbol indices {sym.min()}..{sym.max()} outside 0..{base - 1}")
+    sym.flags.writeable = False
+    return sym, base
+
+
 @dataclass(frozen=True)
 class SymbolStream:
     """Letters and separators of a corpus as one index sequence.
 
     The separator index is ``alphabet_size - 1``; runs of separators are
     collapsed on load, so no two consecutive elements are separators.
-    ``symbols`` is a read-only view, so the range checked here still holds
-    when ``entropy_profile`` reads it.
+    ``symbols`` is a read-only view.
     """
 
     symbols: np.ndarray
@@ -55,22 +77,13 @@ class SymbolStream:
         return int(self.symbols.size)
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        sym = np.asarray(self.symbols).view()
-        if sym.ndim != 1:
-            raise ValueError(f"symbol indices must be one-dimensional, not shape {sym.shape}")
-        if sym.dtype.kind not in "iu":
-            raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
-        sym.flags.writeable = False
+        sym, base = _check_symbols(self.symbols, self.alphabet_size)
         object.__setattr__(self, "symbols", sym)
-        if sym.size and (sym.min() < 0 or sym.max() >= self.alphabet_size):
-            raise ValueError("symbol index outside inventory")
-        sep = self.alphabet_size - 1
+        object.__setattr__(self, "alphabet_size", base)
         # slices overlap by one symbol, so no full-length mask is built
         for lo in range(0, sym.size - 1, _BLOCK_CHARS):
-            part = sym[lo : lo + _BLOCK_CHARS + 1] == sep
-            if np.any(part[1:] & part[:-1]):
+            part = sym[lo : lo + _BLOCK_CHARS + 1] == base - 1
+            if (part[1:] & part[:-1]).any():
                 raise ValueError("consecutive separators in stream")
 
 

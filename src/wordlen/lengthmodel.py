@@ -44,11 +44,15 @@ class FitError(RuntimeError):
     """The chi-square objective could not be minimized on the search range."""
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:  # also false for NaN
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+
+
 def _check_domain(symbols: int, p: float) -> None:
     if symbols < 2:
         raise ValueError("symbol count must be >= 2")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _check_p(p)
 
 
 def model_count(symbols: int, p: float, length: int) -> float:
@@ -103,8 +107,8 @@ def chi_square_p_value(stat: float, df: int) -> float:
     negligible. The finite sum alone rounds to just under 1 near x = 0,
     which is why small x takes the lower-tail series.
     """
-    if stat < 0.0:
-        raise ValueError("statistic must be non-negative")
+    if not stat >= 0.0:  # also true for NaN
+        raise ValueError(f"statistic must be non-negative, got {stat}")
     if df < 1 or not float(df).is_integer():
         raise ValueError(f"df must be a whole number >= 1, got {df}")
     a, x = df / 2.0, stat / 2.0
@@ -216,23 +220,22 @@ def mean_exact(symbols: int, p: float, max_length: int) -> float:
 
 def mean_approx(p: float) -> float:
     """Closed-form mean word length, -1 / (p ln p)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _check_p(p)
     return -1.0 / (p * math.log(p))
 
 
 def stddev_approx(p: float) -> float:
     """Closed-form word-length standard deviation, 1 / (p (1-p))."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _check_p(p)
     return 1.0 / (p * (1.0 - p))
 
 
 def vocab_total_approx(symbols: int, p: float, scale_a: float, exponent_b: float) -> float:
     """Closed-form vocabulary size A * L**(b * ln L * p/(1-p))."""
     _check_domain(symbols, p)
-    if scale_a <= 0.0 or exponent_b < 0.0:
-        raise ValueError("scale_a must be positive and exponent_b non-negative")
+    if not (0.0 < scale_a < math.inf and 0.0 <= exponent_b < math.inf):  # false for NaN
+        raise ValueError("scale_a must be finite and > 0 and exponent_b finite and >= 0, "
+                         f"got scale_a={scale_a}, exponent_b={exponent_b}")
     log_l = math.log(symbols)
     return scale_a * float(symbols) ** (exponent_b * log_l * p / (1.0 - p))
 
@@ -244,10 +247,9 @@ def solve_b(symbols: int, p: float, scale_a: float, vocab_observed: float) -> fl
     b = ln(V/A) / (ln(L)^2 * p/(1-p)).
     """
     _check_domain(symbols, p)
-    if scale_a <= 0.0:
-        raise ValueError("scale_a must be positive")
-    if vocab_observed <= scale_a:
-        raise ValueError("observed vocabulary must exceed scale_a for a positive b")
+    if not 0.0 < scale_a < vocab_observed < math.inf:  # false for NaN
+        raise ValueError("a positive b needs 0 < scale_a < vocab_observed < inf, "
+                         f"got scale_a={scale_a}, vocab_observed={vocab_observed}")
     log_l = math.log(symbols)
     return math.log(vocab_observed / scale_a) / (log_l * log_l * p / (1.0 - p))
 
@@ -261,8 +263,7 @@ def longest_word_estimate(symbols: int, p: float) -> float:
     """
     if symbols < 3:
         raise ValueError("symbol count must be >= 3")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _check_p(p)
     target = math.log(2.0) / math.log(symbols)
     peak = -1.0 / math.log(p)
     if peak * p**peak <= target:

@@ -10,7 +10,7 @@ plug-in estimate is biased low once contexts get sparse; profiles therefore
 carry a per-order adequacy flag (stream shorter than L**n windows cannot
 sample order n).
 
-``entropy_profile`` is the one entry. It checks its input once and counts
+``entropy_profile`` is the one entry. It checks its input and counts
 the stream's width-k windows at the top order k, as sorted distinct codes
 (base L, first symbol most significant) and their counts. When the top
 order is adequately sampled (tokens >= L**k), slices of the stream are
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import SymbolStream
+from .ingest import SymbolStream, _check_symbols
 from .inventory import SymbolInventory
 
 # int64 window codes need order * log2(alphabet) to fit
@@ -134,7 +134,8 @@ def entropy_profile(
 ) -> EntropyProfile:
     """Estimate conditional entropies of orders 0..max_order from one stream
     of integer symbols in 0..symbol_count-1; a ``SymbolStream`` must have
-    been loaded over that many symbols.
+    been loaded over that many symbols. The stream is checked as
+    ``SymbolStream`` checks it, with the same messages.
 
     All orders are marginals of one top-order table: H_n = H(last n symbols
     of a window) - H(the n-1 before the target). They differ from
@@ -142,26 +143,17 @@ def entropy_profile(
     Orders the stream cannot adequately sample (tokens < L**order) are
     flagged in ``adequate``.
     """
-    base = inventory.symbol_count if isinstance(inventory, SymbolInventory) else int(inventory)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if base < 2:
-        raise ValueError("symbol count must be >= 2")
+    count = inventory.symbol_count if isinstance(inventory, SymbolInventory) else inventory
+    if isinstance(stream, SymbolStream):
+        if stream.alphabet_size != count:
+            raise ValueError(f"stream of {stream.alphabet_size} symbols does not match "
+                             f"an inventory of {count}")
+        stream = stream.symbols
+    sym, base = _check_symbols(stream, count)
     if max_order * math.log2(base) > _CODE_BITS:
         raise ValueError(f"order {max_order} over {base} symbols exceeds int64 window coding")
-    if isinstance(stream, SymbolStream):
-        if stream.alphabet_size != base:
-            raise ValueError(f"stream of {stream.alphabet_size} symbols does not match "
-                             f"an inventory of {base}")
-        sym = stream.symbols  # its dtype and range were checked when it was built
-    else:
-        sym = np.asarray(stream)
-        if sym.ndim != 1:
-            raise ValueError(f"symbol indices must be one-dimensional, not shape {sym.shape}")
-        if sym.dtype.kind not in "iu":
-            raise ValueError(f"symbol indices must be integers, not {sym.dtype}")
-        if sym.size and (sym.min() < 0 or sym.max() >= base):
-            raise ValueError(f"symbol indices {sym.min()}..{sym.max()} outside 0..{base - 1}")
     if sym.size < max_order:
         raise ValueError(f"stream of {sym.size} symbols is too short for order {max_order}")
 

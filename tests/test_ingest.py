@@ -367,7 +367,7 @@ class TestCorpus:
                 with pytest.raises(ValueError, match="consecutive"):
                     SymbolStream(np.array([0, 26, 26, 1]), 27)
                 SymbolStream(np.array([0, 26, 1, 26, 2]), 27)
-        with pytest.raises(ValueError, match="index"):
+        with pytest.raises(ValueError, match=re.escape("symbol indices 0..27 outside 0..26")):
             SymbolStream(np.array([0, 27]), 27)
 
     def test_stream_symbols_must_be_integers(self):
@@ -382,8 +382,26 @@ class TestCorpus:
         with pytest.raises(ValueError, match=r"one-dimensional, not shape \(2, 3\)"):
             SymbolStream(np.array([[0, 1, 0], [1, 0, 1]]), 27)
 
+    @pytest.mark.parametrize("symbols, count, message", [
+        (np.array([0.5, 1.0, 0.0]), 27, "symbol indices must be integers, not float64"),
+        (np.array([[0, 1], [1, 0]]), 27, "symbol indices must be one-dimensional, not shape (2, 2)"),
+        (np.array([0, 27, 1]), 27, "symbol indices 0..27 outside 0..26"),
+        (np.array([0, 1, 0, 1, 1, 0]), 2.7, "symbol count must be an integer, not 2.7"),
+        (np.array([0, 26, 26, 1]), 27.5, "symbol count must be an integer, not 27.5"),
+        (np.array([0, 0, 0]), 1, "symbol count must be >= 2"),
+        (np.array([True, False, True]), 27, "symbol indices must be integers, not bool"),
+    ], ids=["float", "2-D", "out-of-range", "count-2.7", "count-27.5", "count-1", "bool"])
+    def test_stream_and_profile_refuse_alike(self, symbols, count, message):
+        # counts 2.7 and 27.5 used to be read as 2, and as a stream whose
+        # separator check never matched
+        for build in (lambda: SymbolStream(symbols, count),
+                      lambda: entropy_profile(symbols, count, 1)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
     def test_stream_symbols_are_read_only(self):
-        # entropy_profile trusts the range a SymbolStream checked when built
+        # the checked symbols cannot be changed through the stream afterwards
         stream = load_corpus("abc abd", ENGLISH)
         with pytest.raises(ValueError, match="read-only"):
             stream.symbols[3] = 200

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wordlen
 from wordlen import lengthmodel as lm
 from wordlen.report import WordLengthHistogram
 
@@ -364,3 +365,36 @@ class TestObservedStats:
             lm.observed_mean(hist)
         with pytest.raises(ValueError):
             lm.observed_stddev(hist)
+
+
+# every float argument of the exported formulas: (function, valid arguments,
+# position of the float one)
+FLOAT_ARGUMENTS = [
+    (wordlen.model_count, (27, 0.883, 3), 1),
+    (wordlen.mean_approx, (0.883,), 0),
+    (wordlen.stddev_approx, (0.883,), 0),
+    (wordlen.mean_exact, (27, 0.883, 50), 1),
+    *((wordlen.vocab_total_approx, (27, 0.883, 7.45, 0.118), i) for i in (1, 2, 3)),
+    *((wordlen.solve_b, (27, 0.883, 7.45, 118_619.0), i) for i in (1, 2, 3)),
+    (wordlen.longest_word_estimate, (27, 0.883), 1),
+    (wordlen.chi_square_p_value, (3.0, 4), 0),
+    (wordlen.predicted_distinct_words, (3.3, 4), 0),
+    (wordlen.implied_entropy, (118_619.0, 4), 0),
+    (wordlen.entropy_from_p, (0.883, 27, 2), 0),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "fn, args, position", FLOAT_ARGUMENTS,
+    ids=[f"{fn.__name__}-{position}" for fn, _, position in FLOAT_ARGUMENTS])
+def test_non_finite_float_arguments_raise(fn, args, position, value):
+    # vocab_total_approx, solve_b, chi_square_p_value and implied_entropy
+    # used to return NaN or inf for some of these
+    assert math.isfinite(fn(*args))
+    bad = (*args[:position], value, *args[position + 1:])
+    if fn is wordlen.chi_square_p_value and value == math.inf:
+        assert fn(*bad) == 0.0  # the documented upper-tail limit
+        return
+    with pytest.raises(ValueError):
+        fn(*bad)
