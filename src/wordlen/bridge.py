@@ -18,6 +18,7 @@ of the full conditional structure and is exposed as an approximation only.
 from __future__ import annotations
 
 import math
+import operator
 
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:
@@ -50,6 +51,10 @@ def entropy_from_p(p: float, symbols: int, order: int) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
+    try:
+        operator.index(symbols)
+    except TypeError:
+        raise ValueError(f"symbol count must be an integer, not {symbols!r}") from None
     if symbols < 2:
         raise ValueError("symbol count must be >= 2")
     if order < 0:

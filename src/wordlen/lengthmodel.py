@@ -25,6 +25,7 @@ out there should be treated as upper bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -49,9 +50,13 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
 
 
-def _check_domain(symbols: int, p: float) -> None:
-    if symbols < 2:
-        raise ValueError("symbol count must be >= 2")
+def _check_domain(symbols: int, p: float, least: int = 2) -> None:
+    try:
+        operator.index(symbols)
+    except TypeError:
+        raise ValueError(f"symbol count must be an integer, not {symbols!r}") from None
+    if symbols < least:
+        raise ValueError(f"symbol count must be >= {least}")
     _check_p(p)
 
 
@@ -237,7 +242,14 @@ def vocab_total_approx(symbols: int, p: float, scale_a: float, exponent_b: float
         raise ValueError("scale_a must be finite and > 0 and exponent_b finite and >= 0, "
                          f"got scale_a={scale_a}, exponent_b={exponent_b}")
     log_l = math.log(symbols)
-    return scale_a * float(symbols) ** (exponent_b * log_l * p / (1.0 - p))
+    try:
+        total = scale_a * float(symbols) ** (exponent_b * log_l * p / (1.0 - p))
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(f"vocabulary total at symbols={symbols}, p={p}, scale_a={scale_a}, "
+                         f"exponent_b={exponent_b} exceeds the largest float")
+    return total
 
 
 def solve_b(symbols: int, p: float, scale_a: float, vocab_observed: float) -> float:
@@ -261,9 +273,7 @@ def longest_word_estimate(symbols: int, p: float) -> float:
     root); the smaller root is a sub-one-letter artifact. Requires L >= 3
     and a p for which the virtual-length curve actually reaches the target.
     """
-    if symbols < 3:
-        raise ValueError("symbol count must be >= 3")
-    _check_p(p)
+    _check_domain(symbols, p, least=3)
     target = math.log(2.0) / math.log(symbols)
     peak = -1.0 / math.log(p)
     if peak * p**peak <= target:

@@ -11,14 +11,16 @@ carry a per-order adequacy flag (stream shorter than L**n windows cannot
 sample order n).
 
 ``entropy_profile`` is the one entry. It checks its input and counts
-the stream's width-k windows at the top order k, as sorted distinct codes
-(base L, first symbol most significant) and their counts. When the top
-order is adequately sampled (tokens >= L**k), slices of the stream are
-bincounted into one table of L**k cells; otherwise every window is coded
-once, in the narrowest dtype that holds its code, and sorted. Every H_n
-is read off marginals of those counts (``code % L**n`` codes a window's
-last n symbols), and each is clamped to [0, H_{n-1}] so that rounding never
-lifts it above the order before. These hold exactly on any input:
+the stream's width-k windows at the top order k, coded base L with the first
+symbol most significant. When the top order is adequately sampled
+(tokens >= L**k), slices of the stream are added in place into one table of
+L**k cells, in the narrowest unsigned dtype that holds the token count, and
+every marginal is a reshape sum of it. Otherwise every window is coded once
+and sorted, and the marginals are summed over the distinct codes
+(``code % L**n`` codes a window's last n symbols). Both give each entropy
+the same nonzero counts in code order. Every H_n is clamped to
+[0, H_{n-1}] so that rounding never lifts it above the order before. These
+hold exactly on any input:
 
     0 <= H_n <= log2(L)        and        H_n <= H_{n-1}
 
@@ -37,8 +39,8 @@ from .inventory import SymbolInventory
 
 # int64 window codes need order * log2(alphabet) to fit
 _CODE_BITS = 62
-# windows per slice of a table count, coded in intp as np.bincount reads them
-_SLICE_WINDOWS = 1 << 18
+# windows per slice of a table count, coded in the narrowest unsigned dtype
+_SLICE_WINDOWS = 1 << 16
 
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,24 +61,60 @@ def _window_codes(sym: np.ndarray, base: int, order: int, dtype) -> np.ndarray:
     return codes
 
 
+def _count_table(sym: np.ndarray, base: int, order: int) -> np.ndarray:
+    """Counts of the width-``order`` windows of ``sym`` in one table of
+    base**order cells indexed by window code, in the narrowest unsigned dtype
+    that holds the token count, which no cell can exceed."""
+    cells = base**order
+    table = np.zeros(cells, dtype=np.min_scalar_type(sym.size))
+    code_dtype = np.min_scalar_type(cells - 1)
+    # a typed increment keeps np.add.at on its fast loop; a Python 1 leaves it
+    one = table.dtype.type(1)
+    for lo in range(0, sym.size - order + 1, _SLICE_WINDOWS):
+        part = sym[lo : lo + _SLICE_WINDOWS + order - 1]
+        np.add.at(table, _window_codes(part, base, order, code_dtype), one)
+    return table
+
+
 def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct int64 codes of the width-``order`` windows of ``sym``,
     whose symbols lie in 0..base-1, and the int64 count of each."""
-    cells = base**order
-    if sym.size >= cells:
-        # an adequately sampled order: one table of every code costs no more
-        # than one int64 per token
-        table = np.zeros(cells, dtype=np.int64)
-        for lo in range(0, sym.size - order + 1, _SLICE_WINDOWS):
-            part = sym[lo : lo + _SLICE_WINDOWS + order - 1]
-            table += np.bincount(_window_codes(part, base, order, np.intp), minlength=cells)
-        codes = np.flatnonzero(table)
-        return codes, table[codes]
     # widened, so that a marginal's modulus L**n fits even where L**order
     # fills the narrow dtype
-    codes, counts = np.unique(_window_codes(sym, base, order, np.min_scalar_type(cells - 1)),
+    codes, counts = np.unique(_window_codes(sym, base, order, np.min_scalar_type(base**order - 1)),
                               return_counts=True)
     return codes.astype(np.int64), counts
+
+
+def _nonzero(cells: np.ndarray) -> np.ndarray:
+    return cells[cells != 0].astype(np.int64)
+
+
+def _table_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[float, float]]:
+    """For n = 1..order, the plug-in entropies of the windows' last n symbols
+    and of the n-1 symbols before their target, read off one table by
+    reshape sums; each gets its nonzero int64 counts in code order."""
+    joint = _count_table(sym, base, order)
+    pairs = []
+    for n in range(order, 0, -1):
+        counts = _nonzero(joint)
+        context = _nonzero(joint.reshape(-1, base).sum(1))
+        # the order below is summed from this one, so the table is freed
+        # before the top order's entropy is taken
+        joint = joint.reshape(-1, base ** (n - 1)).sum(0)
+        pairs.append((_entropy(counts), _entropy(context)))
+    return pairs[::-1]
+
+
+def _sorted_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[float, float]]:
+    """The same entropies as ``_table_entropies``, of the same counts summed
+    over the sorted distinct window codes."""
+    codes, counts = _count_windows(sym, base, order)
+    pairs = []
+    for n in range(1, order + 1):
+        tail, tail_counts = _sum_by(codes % base**n, counts)
+        pairs.append((_entropy(tail_counts), _entropy(_sum_by(tail // base, tail_counts)[1])))
+    return pairs
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -137,7 +175,7 @@ def entropy_profile(
     been loaded over that many symbols. The stream is checked as
     ``SymbolStream`` checks it, with the same messages.
 
-    All orders are marginals of one top-order table: H_n = H(last n symbols
+    All orders are marginals of one top-order count: H_n = H(last n symbols
     of a window) - H(the n-1 before the target). They differ from
     separately-counted tables only at the first max_order-1 positions.
     Orders the stream cannot adequately sample (tokens < L**order) are
@@ -157,13 +195,12 @@ def entropy_profile(
     if sym.size < max_order:
         raise ValueError(f"stream of {sym.size} symbols is too short for order {max_order}")
 
-    codes, counts = _count_windows(sym, base, max_order)
+    # an adequately sampled top order has no more table cells than tokens;
+    # a sparser one is sorted
+    route = _table_entropies if sym.size >= base**max_order else _sorted_entropies
     entropies = [math.log2(base)]
-    for order in range(1, max_order + 1):
-        tail, tail_counts = _sum_by(codes % base**order, counts)
-        joint = _entropy(tail_counts)
-        context = 0.0
-        if order > 1:  # the order-1 symbols before the target
-            context = _entropy(_sum_by(tail // base, tail_counts)[1])
-        entropies.append(min(max(joint - context, 0.0), entropies[-1]))
+    for order, (joint, context) in enumerate(route(sym, base, max_order), 1):
+        # the order-1 target has no symbols before it
+        h = joint - (context if order > 1 else 0.0)
+        entropies.append(min(max(h, 0.0), entropies[-1]))
     return EntropyProfile(np.array(entropies), sym.size, base)

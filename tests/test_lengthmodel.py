@@ -309,6 +309,15 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             lm.solve_b(27, 0.88, 7.45, 7.0)
 
+    def test_approx_overflow_names_its_arguments(self):
+        # the power used to raise a raw OverflowError, and a finite power
+        # times a large scale used to return inf
+        message = "symbols=27, p=0.883, scale_a=7.45, exponent_b=100.0 exceeds the largest float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lm.vocab_total_approx(27, 0.883, 7.45, 100.0)
+        with pytest.raises(ValueError, match=re.escape("scale_a=1e+308, exponent_b=1.0 exceeds")):
+            lm.vocab_total_approx(27, 0.883, 1e308, 1.0)
+
 
 
 class TestLongestWord:
@@ -398,3 +407,30 @@ def test_non_finite_float_arguments_raise(fn, args, position, value):
         return
     with pytest.raises(ValueError):
         fn(*bad)
+
+
+# every exported formula that takes a symbol count: (function, valid
+# arguments, position of the count)
+SYMBOL_COUNT_ARGUMENTS = [
+    (wordlen.model_count, (27, 0.883, 3), 0),
+    (wordlen.mean_exact, (27, 0.883, 50), 0),
+    (wordlen.vocab_total_approx, (27, 0.883, 7.45, 0.118), 0),
+    (wordlen.solve_b, (27, 0.883, 7.45, 118_619.0), 0),
+    (wordlen.longest_word_estimate, (27, 0.883), 0),
+    (wordlen.entropy_from_p, (0.883, 27, 2), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, position", SYMBOL_COUNT_ARGUMENTS,
+    ids=[fn.__name__ for fn, _, _ in SYMBOL_COUNT_ARGUMENTS])
+def test_symbol_count_must_be_an_integer(fn, args, position):
+    # model_count(27.5, 0.8, 3) used to return 161.49 and
+    # entropy_from_p(0.5, 27.5, 2) 1.195
+    def call(count):
+        return fn(*args[:position], count, *args[position + 1:])
+
+    for count in (27.5, 27.0, np.float64(27.0)):
+        with pytest.raises(ValueError, match=re.escape(f"symbol count must be an integer, not {count!r}")):
+            call(count)
+    assert call(np.int64(27)) == call(np.uint8(27)) == fn(*args)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from wordlen import ngram
 from wordlen.ingest import load_corpus
 from wordlen.inventory import preset_inventory
-from wordlen.ngram import EntropyProfile, _count_windows, entropy_profile
+from wordlen.ngram import EntropyProfile, _count_table, _count_windows, entropy_profile
 
 # entropy rate of a two-state chain that stays put with probability 0.9
 MARKOV_RATE = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
@@ -33,6 +34,16 @@ def counter_plugin_entropy(stream, order, top_order):
     joint = Counter(w[top_order - order:] for w in windows)
     context = Counter(w[top_order - order:-1] for w in windows)
     return -sum(c / len(windows) * math.log2(c / context[w[:-1]]) for w, c in joint.items())
+
+
+def window_counts(stream, symbols, order):
+    """Sorted distinct window codes and their counts, from the table when the
+    stream has at least L**order tokens, as entropy_profile counts them."""
+    if stream.size >= symbols**order:
+        table = _count_table(stream, symbols, order)
+        codes = np.flatnonzero(table)
+        return codes, table[codes]
+    return _count_windows(stream, symbols, order)
 
 
 @st.composite
@@ -58,14 +69,14 @@ class TestCounting:
         for _ in range(20):
             n = int(rng.integers(1, 5))
             stream = rng.integers(0, 4, size=int(rng.integers(n, 200)))
-            assert _count_windows(stream, 4, n)[1].sum() == stream.size - n + 1
+            assert window_counts(stream, 4, n)[1].sum() == stream.size - n + 1
 
     def test_uniform_unigram_counts_within_sampling_bounds(self):
         rng = np.random.default_rng(11)
-        codes, counts = _count_windows(rng.integers(0, 4, size=10**6), 4, 1)
+        codes, counts = window_counts(rng.integers(0, 4, size=10**6), 4, 1)
         assert codes.tolist() == [0, 1, 2, 3]
         sigma = math.sqrt(10**6 * 0.25 * 0.75)
-        assert np.all(np.abs(counts - 250_000) <= 3 * sigma)
+        assert np.all(np.abs(counts.astype(np.int64) - 250_000) <= 3 * sigma)
 
     def test_stream_too_short(self):
         inv = preset_inventory("english")
@@ -89,12 +100,12 @@ class TestCounting:
         order = data.draw(st.integers(1, 4))
         stream = np.array(data.draw(st.lists(st.integers(0, symbols - 1),
                                              min_size=order, max_size=300)))
-        whole = _count_windows(stream, symbols, order)
+        whole = _count_table(stream, symbols, order)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ngram, "_SLICE_WINDOWS", data.draw(st.integers(1, stream.size + 1)))
-            sliced = _count_windows(stream, symbols, order)
-        assert np.array_equal(sliced[0], whole[0])
-        assert np.array_equal(sliced[1], whole[1])
+            sliced = _count_table(stream, symbols, order)
+        assert sliced.dtype == whole.dtype
+        assert np.array_equal(sliced, whole)
 
     @pytest.mark.parametrize("symbols, order", [(27, 3), (25, 4), (27, 12)])
     def test_wide_codes_match_python_integers(self, symbols, order):
@@ -133,12 +144,68 @@ class TestCounting:
                                              min_size=size, max_size=size)), dtype=dtype)
         want = Counter(tuple(stream[i:i + order].tolist())
                        for i in range(size - order + 1))
-        codes, counts = _count_windows(stream, symbols, order)
-        assert codes.dtype == counts.dtype == np.int64
+        codes, counts = window_counts(stream, symbols, order)
+        if size >= symbols**order:
+            # no table cell can count more windows than there are tokens
+            assert counts.dtype == np.min_scalar_type(size)
+        else:
+            assert codes.dtype == counts.dtype == np.int64
         assert np.all(np.diff(codes) > 0)
         windows = [tuple(int(c) // symbols ** (order - 1 - k) % symbols for k in range(order))
                    for c in codes]
         assert dict(zip(windows, counts.tolist())) == want
+
+    @pytest.mark.parametrize("tokens", [255, 256, 65_535, 65_536])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_stream_counts_do_not_wrap(self, tokens, order):
+        # each count sits at or just past the largest value of a narrow dtype
+        table = _count_table(np.ones(tokens, dtype=np.uint8), 2, order)
+        assert table.dtype == np.min_scalar_type(tokens)
+        assert table.tolist() == [0] * (2**order - 1) + [tokens - order + 1]
+        assert entropy_profile(np.ones(tokens, dtype=np.uint8), 2, order).entropies[1:].tolist() \
+            == [0.0] * order
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_table_and_sort_give_identical_entropies(self, data):
+        # entropy_profile counts in a table from L**order tokens on and sorts
+        # below; on any stream both give the same floats
+        order = data.draw(st.integers(1, 5))
+        symbols = data.draw(st.integers(2, max(s for s in range(2, 31) if s**order <= 27_000)))
+        cells = symbols**order
+        if data.draw(st.booleans(), label="above L**order"):
+            size = data.draw(st.integers(cells, cells + 500))
+        else:
+            size = data.draw(st.integers(order, min(cells - 1, 3000)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # a skewed draw leaves some windows unseen
+        weights = rng.dirichlet(np.full(symbols, data.draw(st.sampled_from([0.2, 1.0, 50.0]))))
+        dtype = data.draw(st.sampled_from([np.uint8, np.int16, np.int64, np.uint64]))
+        stream = rng.choice(symbols, size=size, p=weights).astype(dtype)
+        table = ngram._table_entropies(stream, symbols, order)
+        assert table == ngram._sorted_entropies(stream, symbols, order)
+        assert len(table) == order
+
+    def test_table_count_memory(self):
+        # a Swahili-like stream of Zipf-drawn words; its order-4 windows fill
+        # a 25**4 table, which used to be held as int64 twice over beside
+        # the intp codes of a slice
+        inv = preset_inventory("swahili")
+        sep = inv.symbol_count - 1
+        rng = np.random.default_rng(4)
+        words = [np.append(rng.integers(0, sep, size=n), sep)
+                 for n in rng.integers(1, 11, size=3000).tolist()]
+        zipf = 1.0 / (np.arange(len(words)) + 2.7)
+        ranks = rng.choice(len(words), size=100_000, p=zipf / zipf.sum())
+        stream = np.concatenate([words[r] for r in ranks.tolist()]).astype(np.uint8)
+        assert stream.size >= inv.symbol_count**4
+        tracemalloc.start()
+        try:
+            entropy_profile(stream, inv, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * inv.symbol_count**4
 
     def test_code_width_guard(self):
         with pytest.raises(ValueError, match="coding"):
@@ -192,7 +259,7 @@ class TestConditionalEntropy:
         h = entropy_profile(stream, 4, 1).entropies[1]
         assert h == pytest.approx(2.0, abs=0.01)
         # plug-in first-order entropy equals the plain entropy of the counts
-        counts = _count_windows(stream, 4, 1)[1].tolist()
+        counts = _count_table(stream, 4, 1).tolist()
         assert h == pytest.approx(plain_entropy(counts), rel=1e-12)
 
     def test_markov_second_order(self):
