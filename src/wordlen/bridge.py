@@ -18,15 +18,15 @@ of the full conditional structure and is exposed as an approximation only.
 from __future__ import annotations
 
 import math
-import operator
+
+from .inventory import _whole
 
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:
     """Number of distinct strings of ``length`` symbols, 2**(N*H)."""
     if not 0.0 <= entropy_bits < math.inf:  # also false for NaN
         raise ValueError(f"entropy must be finite and >= 0, got {entropy_bits}")
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _whole(length, "length", 1)
     if length * entropy_bits >= 1024.0:  # 2**1024 is past the largest double
         raise ValueError(f"2**({length} * {entropy_bits}) is too large for a double")
     return 2.0 ** (length * entropy_bits)
@@ -36,8 +36,7 @@ def implied_entropy(word_count: float, length: int) -> float:
     """Entropy (bits/symbol) a count of distinct words implies, log2(W)/N."""
     if not 1.0 <= word_count < math.inf:  # also false for NaN
         raise ValueError(f"word count must be finite and >= 1, got {word_count}")
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _whole(length, "length", 1)
     return math.log2(word_count) / length
 
 
@@ -51,12 +50,6 @@ def entropy_from_p(p: float, symbols: int, order: int) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must lie in (0, 1]")
-    try:
-        operator.index(symbols)
-    except TypeError:
-        raise ValueError(f"symbol count must be an integer, not {symbols!r}") from None
-    if symbols < 2:
-        raise ValueError("symbol count must be >= 2")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _whole(symbols, "symbol count", 2)
+    order = _whole(order, "order", 0)
     return p**order * math.log2(symbols)

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import lengthmodel, report, simulate
-from .inventory import PRESET_NAMES, SymbolInventory, read_utf8, resolve_inventory
+from .inventory import PRESET_NAMES, SymbolInventory, _whole, read_utf8, resolve_inventory
 from .report import WordLengthHistogram
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
@@ -259,9 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # checked before any input is read or any word is drawn
         max_length = getattr(args, "max_length", None)  # None: implied left it unset
-        if max_length is not None and max_length < 1:
-            raise ValueError("max_length must be >= 1")
-        if max_length is not None and max_length > _MAX_LENGTH:
+        if max_length is not None and _whole(max_length, "max_length", 1) > _MAX_LENGTH:
             raise ValueError(f"max_length must be <= {_MAX_LENGTH}")
         return _COMMANDS[args.command](args)
     # InventoryError and TokenizationError are ValueErrors

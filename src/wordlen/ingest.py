@@ -13,13 +13,12 @@ loaded.
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .inventory import InventoryError, SymbolInventory
+from .inventory import InventoryError, SymbolInventory, _whole
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -43,12 +42,7 @@ def _check_symbols(symbols, symbol_count) -> tuple[np.ndarray, int]:
     an integer >= 2 and ``symbols`` a 1-D integer array in 0..count-1."""
     import numpy as np
 
-    try:
-        base = operator.index(symbol_count)
-    except TypeError:
-        raise ValueError(f"symbol count must be an integer, not {symbol_count!r}") from None
-    if base < 2:
-        raise ValueError("symbol count must be >= 2")
+    base = _whole(symbol_count, "symbol count", 2)
     sym = np.asarray(symbols).view()
     if sym.ndim != 1:
         raise ValueError(f"symbol indices must be one-dimensional, not shape {sym.shape}")
@@ -215,8 +209,7 @@ def word_length_histogram(
     lengths: Iterable[int], max_length: int = 50, label: str = ""
 ) -> WordLengthHistogram:
     """Histogram of word lengths (each >= 1); lengths beyond max_length overflow."""
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
+    max_length = _whole(max_length, "max_length", 1)
     tally = Counter(lengths)
     # only the distinct lengths are checked, so a long input pays nothing per
     # length; Python and numpy integers have __index__, floats do not

@@ -13,6 +13,7 @@ the conventional symbol counts (English 27, Russian 32, ..., Meroitic 24).
 from __future__ import annotations
 
 import json
+import operator
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,22 @@ def read_utf8(path: str | Path) -> str:
         raise ValueError(
             f"{path}: not UTF-8: cannot decode byte 0x{data[offset]:02x} at offset {offset}"
         ) from None
+
+
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer >= ``least``.
+
+    Every count, length and order the package takes is checked here.
+    Python and numpy integers pass; floats, whole ones included, and
+    strings do not.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if number < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return number
 
 
 @dataclass(frozen=True)

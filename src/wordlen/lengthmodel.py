@@ -25,9 +25,10 @@ out there should be treated as upper bounds.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from .inventory import _whole
 
 if TYPE_CHECKING:
     from .report import WordLengthHistogram
@@ -51,12 +52,7 @@ def _check_p(p: float) -> None:
 
 
 def _check_domain(symbols: int, p: float, least: int = 2) -> None:
-    try:
-        operator.index(symbols)
-    except TypeError:
-        raise ValueError(f"symbol count must be an integer, not {symbols!r}") from None
-    if symbols < least:
-        raise ValueError(f"symbol count must be >= {least}")
+    _whole(symbols, "symbol count", least)
     _check_p(p)
 
 
@@ -66,8 +62,7 @@ def model_count(symbols: int, p: float, length: int) -> float:
     Raises ValueError when the count passes the largest float.
     """
     _check_domain(symbols, p)
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    length = _whole(length, "length", 1)
     try:
         count = float(symbols) ** (length * p**length)
     except OverflowError:
@@ -78,8 +73,7 @@ def model_count(symbols: int, p: float, length: int) -> float:
 
 def model_histogram(symbols: int, p: float, max_length: int) -> list[float]:
     """Model counts for lengths 1..max_length."""
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
+    max_length = _whole(max_length, "max_length", 1)
     return [model_count(symbols, p, n) for n in range(1, max_length + 1)]
 
 

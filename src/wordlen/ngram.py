@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import SymbolStream, _check_symbols
-from .inventory import SymbolInventory
+from .inventory import SymbolInventory, _whole
 
 # int64 window codes need order * log2(alphabet) to fit
 _CODE_BITS = 62
@@ -137,13 +137,15 @@ class EntropyProfile:
     inventory_symbols: int
 
     def __post_init__(self) -> None:
+        for name, least in (("sample_tokens", 0), ("inventory_symbols", 2)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         h = np.asarray(self.entropies, dtype=float)
         object.__setattr__(self, "entropies", h)
         if h.size == 0:
             raise ValueError("a profile needs at least the order-0 entropy")
         if h[0] != math.log2(self.inventory_symbols):
             raise ValueError("order-0 entropy must equal log2(symbol count)")
-        if np.any(h < 0) or np.any(h > h[0]):
+        if not np.all((h >= 0) & (h <= h[0])):  # also false for NaN
             raise ValueError("entropy outside [0, log2 L]")
         if np.any(np.diff(h) > 0):
             raise ValueError("entropies must be non-increasing with order")
@@ -181,8 +183,7 @@ def entropy_profile(
     Orders the stream cannot adequately sample (tokens < L**order) are
     flagged in ``adequate``.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    max_order = _whole(max_order, "max_order", 1)
     count = inventory.symbol_count if isinstance(inventory, SymbolInventory) else inventory
     if isinstance(stream, SymbolStream):
         if stream.alphabet_size != count:

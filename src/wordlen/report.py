@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bridge, lengthmodel
-from .inventory import read_utf8
+from .inventory import _whole, read_utf8
 
 if TYPE_CHECKING:
     from .ngram import EntropyProfile
@@ -50,12 +50,11 @@ class WordLengthHistogram:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        counts = tuple(map(int, self.counts))
-        object.__setattr__(self, "counts", counts)
-        if self.max_length < 1 or len(counts) != self.max_length:
+        object.__setattr__(self, "counts", tuple(_whole(c, "count", 0) for c in self.counts))
+        object.__setattr__(self, "max_length", _whole(self.max_length, "max_length", 1))
+        object.__setattr__(self, "overflow", _whole(self.overflow, "overflow", 0))
+        if len(self.counts) != self.max_length:
             raise ValueError("counts must have one cell per length 1..max_length")
-        if min(counts, default=0) < 0 or self.overflow < 0:
-            raise ValueError("negative count")
 
     def count(self, length: int) -> int:
         """Count of words of exactly ``length`` symbols (1-based)."""

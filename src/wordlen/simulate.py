@@ -28,10 +28,10 @@ words.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from .inventory import _whole
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -55,19 +55,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly between 0 and 1")
-        # numpy integers pass and are stored as ints; floats and strings fail
-        for name in ("symbols", "word_target", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, not {value!r}") from None
-        if self.symbols < 2:
-            raise ValueError("symbol count must be >= 2")
-        if self.word_target < 1:
-            raise ValueError("word_target must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        # numpy integers pass and are stored as ints
+        for field, name, least in (("symbols", "symbol count", 2), ("word_target", "word_target", 1),
+                                   ("seed", "seed", 0)):
+            object.__setattr__(self, field, _whole(getattr(self, field), name, least))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         # a word takes 1/(1-p) trials; reject_empty keeps a fraction p of them
@@ -135,8 +126,7 @@ def length_histogram(cfg: SimulationConfig, max_length: int) -> tuple[WordLength
     """
     import numpy as np
 
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
+    max_length = _whole(max_length, "max_length", 1)
     counts = np.zeros(max_length + 2, dtype=np.int64)  # cell 0 stays empty
     total = 0
     for block in _blocks(cfg):

@@ -474,6 +474,26 @@ class TestHistogram:
         with pytest.raises(IndexError):
             WordLengthHistogram(np.array([1]), 1).count(2)
 
+    @pytest.mark.parametrize("args, message", [
+        # the first three used to hold (1, 2), parse the string, and give a
+        # total of 1.5 with overflow,0.5 in the CSV
+        (((1.7, 2.9), 2), "count must be an integer, not 1.7"),
+        ((("3", 2), 2), "count must be an integer, not '3'"),
+        (((1,), 1, 0.5), "overflow must be an integer, not 0.5"),
+        (((1,), 1.0), "max_length must be an integer, not 1.0"),
+        (((-1,), 1), "count must be >= 0"),
+        (((1,), 1, -1), "overflow must be >= 0"),
+        (((), 0), "max_length must be >= 1"),
+    ])
+    def test_fields_must_be_whole_numbers(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WordLengthHistogram(*args)
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        hist = WordLengthHistogram(np.array([4, 0], dtype=np.uint8), np.int64(2), np.int32(3))
+        assert [type(x) for x in (*hist.counts, hist.max_length, hist.overflow)] == [int] * 4
+        assert hist == WordLengthHistogram((4, 0), 2, 3)
+
     @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"])
     def test_lengths_must_be_integers(self, bad):
         # 1.5 used to land in no cell, a total of 2 for 3 lengths

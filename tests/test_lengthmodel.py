@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import wordlen
 from wordlen import lengthmodel as lm
+from wordlen import simulate
 from wordlen.report import WordLengthHistogram
 
 from reference_tables import (
@@ -409,28 +410,48 @@ def test_non_finite_float_arguments_raise(fn, args, position, value):
         fn(*bad)
 
 
-# every exported formula that takes a symbol count: (function, valid
-# arguments, position of the count)
+# every whole-number argument the package checks: (function, valid
+# arguments, position of the argument, its name in messages)
 SYMBOL_COUNT_ARGUMENTS = [
-    (wordlen.model_count, (27, 0.883, 3), 0),
-    (wordlen.mean_exact, (27, 0.883, 50), 0),
-    (wordlen.vocab_total_approx, (27, 0.883, 7.45, 0.118), 0),
-    (wordlen.solve_b, (27, 0.883, 7.45, 118_619.0), 0),
-    (wordlen.longest_word_estimate, (27, 0.883), 0),
-    (wordlen.entropy_from_p, (0.883, 27, 2), 1),
+    (wordlen.model_count, (27, 0.883, 3), 0, "symbol count"),
+    (wordlen.mean_exact, (27, 0.883, 50), 0, "symbol count"),
+    (wordlen.vocab_total_approx, (27, 0.883, 7.45, 0.118), 0, "symbol count"),
+    (wordlen.solve_b, (27, 0.883, 7.45, 118_619.0), 0, "symbol count"),
+    (wordlen.longest_word_estimate, (27, 0.883), 0, "symbol count"),
+    (wordlen.entropy_from_p, (0.883, 27, 2), 1, "symbol count"),
+    (wordlen.model_count, (27, 0.883, 3), 2, "length"),
+    (wordlen.predicted_distinct_words, (3.0, 3), 1, "length"),
+    (wordlen.implied_entropy, (100, 3), 1, "length"),
+    (wordlen.entropy_from_p, (0.883, 27, 2), 2, "order"),
+    (wordlen.entropy_profile, (np.random.default_rng(5).integers(0, 27, 2000), 27, 3), 2,
+     "max_order"),
+    (wordlen.model_histogram, (27, 0.883, 50), 2, "max_length"),
+    (wordlen.word_length_histogram, ([1, 2, 2, 7, 60], 50), 1, "max_length"),
+    (simulate.length_histogram, (wordlen.SimulationConfig(0.8, 27, 1000, 1), 50), 1, "max_length"),
 ]
 
 
-@pytest.mark.parametrize(
-    "fn, args, position", SYMBOL_COUNT_ARGUMENTS,
-    ids=[fn.__name__ for fn, _, _ in SYMBOL_COUNT_ARGUMENTS])
-def test_symbol_count_must_be_an_integer(fn, args, position):
-    # model_count(27.5, 0.8, 3) used to return 161.49 and
-    # entropy_from_p(0.5, 27.5, 2) 1.195
-    def call(count):
-        return fn(*args[:position], count, *args[position + 1:])
+def _comparable(result):
+    # a profile holds an array, which == compares cell by cell
+    if isinstance(result, wordlen.EntropyProfile):
+        return result.entropies.tolist(), result.sample_tokens, result.inventory_symbols
+    return result
 
-    for count in (27.5, 27.0, np.float64(27.0)):
-        with pytest.raises(ValueError, match=re.escape(f"symbol count must be an integer, not {count!r}")):
-            call(count)
-    assert call(np.int64(27)) == call(np.uint8(27)) == fn(*args)
+
+@pytest.mark.parametrize(
+    "fn, args, position, name", SYMBOL_COUNT_ARGUMENTS,
+    # a symbol-count row is named by its function alone
+    ids=[fn.__name__ + ("" if name == "symbol count" else f"-{name}")
+         for fn, _, _, name in SYMBOL_COUNT_ARGUMENTS])
+def test_symbol_count_must_be_an_integer(fn, args, position, name):
+    # model_count(27.5, 0.8, 3) used to return 161.49, model_count(27, 0.8, 2.5)
+    # 110.79 and entropy_from_p(0.8, 27, 1.5) 3.402
+    def call(value):
+        return fn(*args[:position], value, *args[position + 1:])
+
+    for value in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, not {value!r}')}$"):
+            call(value)
+    whole = args[position]
+    assert (_comparable(call(np.int64(whole))) == _comparable(call(np.uint8(whole)))
+            == _comparable(fn(*args)))

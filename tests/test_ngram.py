@@ -380,6 +380,24 @@ class TestProfile:
         with pytest.raises(ValueError, match="order-0 entropy"):
             EntropyProfile(np.array([]), 5, 2)
 
+    @pytest.mark.parametrize("entropies, tokens, symbols, message", [
+        # the first two used to be written out as "windows": 10.5 and
+        # "inventory_symbols": 27.0, the third as the row 1,nan,9,false
+        ([math.log2(27), 1.0], 10.5, 27, "sample_tokens must be an integer, not 10.5"),
+        ([math.log2(27), 1.0], 10, 27.0, "inventory_symbols must be an integer, not 27.0"),
+        ([math.log2(27), math.nan, math.nan], 10, 27, "entropy outside [0, log2 L]"),
+        ([math.log2(27), 1.0, math.nan], 10, 27, "entropy outside [0, log2 L]"),
+        ([math.log2(27), 1.0], -1, 27, "sample_tokens must be >= 0"),
+        ([0.0], 10, 1, "inventory_symbols must be >= 2"),
+    ])
+    def test_fields_are_whole_and_entropies_in_range(self, entropies, tokens, symbols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EntropyProfile(np.array(entropies), tokens, symbols)
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        profile = EntropyProfile(np.array([1.0, 0.5]), np.int64(5), np.uint8(2))
+        assert type(profile.sample_tokens) is type(profile.inventory_symbols) is int
+
 
 class TestMutualInformation:
     """Adjacent-symbol mutual information, read as H_1 - H_2 of a profile."""

@@ -78,7 +78,7 @@ class TestDrawLengths:
             SimulationConfig(0.5, 5, 10, 1, mode="maybe")
 
     @pytest.mark.parametrize("field, value, message", [
-        ("symbols", 27.5, "symbols must be an integer, not 27.5"),
+        ("symbols", 27.5, "symbol count must be an integer, not 27.5"),
         ("word_target", 10.5, "word_target must be an integer, not 10.5"),
         ("seed", 1.5, "seed must be an integer, not 1.5"),
         ("seed", "1", "seed must be an integer, not '1'"),
