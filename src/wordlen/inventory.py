@@ -42,7 +42,7 @@ def read_utf8(path: str | Path) -> str:
 def _whole(value, name: str, least: int) -> int:
     """``value`` as an int, if it is an integer >= ``least``.
 
-    Every count, length and order the package takes is checked here.
+    Every layer checks its counts, lengths and orders here.
     Python and numpy integers pass; floats, whole ones included, and
     strings do not.
     """
