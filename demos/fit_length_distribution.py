@@ -27,6 +27,7 @@ from wordlen import (
     vocab_total_approx,
     word_length_histogram,
 )
+from wordlen.inventory import read_utf8
 
 TRUE_P = 0.87
 SYMBOLS = 27
@@ -46,7 +47,7 @@ def synthetic_dictionary():
 def main():
     inv = preset_inventory("english")
     if len(sys.argv) > 1:
-        text = open(sys.argv[1], encoding="utf-8").read()
+        text = read_utf8(sys.argv[1])
         print(f"fitting {sys.argv[1]}")
     else:
         text = "\n".join(synthetic_dictionary())

@@ -6,14 +6,14 @@ between entropies and word counts, and ``simulate`` runs the bag model.
 Every subcommand is deterministic given its inputs (and seed) and writes
 one artifact as CSV or JSON.
 
-A subcommand imports only the layers it runs, and only ``entropy`` and
-``simulate`` load numpy. The layer functions ``load_wordlist``,
-``word_length_histogram``, ``load_corpus`` and ``entropy_profile`` are
-attributes of this module, loaded on first access, and the commands call
-them through the module, so replacing one here (to trace or count calls)
-reaches every command. ``word_length_histogram`` bins word lists only:
-``simulate`` bins each block of draws in ``simulate.length_histogram`` and
-never holds the drawn lengths, so its memory does not grow with ``--words``.
+Only ``entropy`` and ``simulate`` load numpy: the layers import it inside
+the functions that compute with arrays. The commands call the layer
+functions ``load_wordlist``, ``word_length_histogram``, ``load_corpus`` and
+``entropy_profile`` by their names in this module, looked up at each call,
+so replacing one here (to trace or count calls) reaches every command.
+``word_length_histogram`` bins word lists only: ``simulate`` bins each
+block of draws in ``simulate.length_histogram`` and never holds the drawn
+lengths, so its memory does not grow with ``--words``.
 """
 
 from __future__ import annotations
@@ -24,22 +24,12 @@ import sys
 from pathlib import Path
 
 from . import lengthmodel, report, simulate
+from .ingest import load_corpus, load_wordlist, word_length_histogram
 from .inventory import PRESET_NAMES, SymbolInventory, _whole, read_utf8, resolve_inventory
+from .ngram import entropy_profile
 from .report import WordLengthHistogram
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
-
-# the layer functions read off this module; each is loaded through the package
-_LAYER_FUNCTIONS = ("load_wordlist", "word_length_histogram", "load_corpus", "entropy_profile")
-_cli = sys.modules[__name__]  # the commands call the layer functions through it
-
-
-def __getattr__(name: str):
-    if name not in _LAYER_FUNCTIONS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)
-    globals()[name] = value
-    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None:
@@ -133,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _wordlist_histogram(args) -> tuple[SymbolInventory, WordLengthHistogram]:
     """The inventory and the distinct-word length histogram of ``args.wordlist``."""
     inv = resolve_inventory(args.inventory)
-    lengths = _cli.load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict)
-    hist = _cli.word_length_histogram(lengths, args.max_length, label=Path(args.wordlist).stem)
+    lengths = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict)
+    hist = word_length_histogram(lengths, args.max_length, label=Path(args.wordlist).stem)
     return inv, hist
 
 
@@ -158,8 +148,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_entropy(args) -> int:
     inv = resolve_inventory(args.inventory)
-    stream = _cli.load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
-    profile = _cli.entropy_profile(stream, inv, args.max_order)
+    stream = load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
+    profile = entropy_profile(stream, inv, args.max_order)
     if not all(profile.adequate):
         print(f"wordlen entropy: warning: stream of {profile.sample_tokens} tokens cannot "
               f"adequately sample order >= {profile.adequate.index(False)} over "

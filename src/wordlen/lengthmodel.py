@@ -143,8 +143,12 @@ class FittedLengthModel:
 
     def __post_init__(self) -> None:
         _check_domain(self.symbols, self.p)
-        if self.chi_square < 0.0 or self.df < 1:
-            raise ValueError("invalid fit statistics")
+        object.__setattr__(self, "df", _whole(self.df, "df", 1))
+        # written so that NaN fails them too
+        if not 0.0 <= self.chi_square < math.inf:
+            raise ValueError(f"chi_square must be in [0, inf), got {self.chi_square}")
+        if not 0.0 <= self.p_value <= 1.0:
+            raise ValueError(f"p_value must be in [0, 1], got {self.p_value}")
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:

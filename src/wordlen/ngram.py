@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .ingest import SymbolStream, _check_symbols
 from .inventory import SymbolInventory, _whole
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # int64 window codes need order * log2(alphabet) to fit
 _CODE_BITS = 62
@@ -45,12 +47,16 @@ _SLICE_WINDOWS = 1 << 16
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys and the summed counts of each."""
+    import numpy as np
+
     uniq, inverse = np.unique(keys, return_inverse=True)
     return uniq, np.bincount(inverse, weights=counts).astype(np.int64)
 
 
 def _window_codes(sym: np.ndarray, base: int, order: int, dtype) -> np.ndarray:
     """Codes in ``dtype`` of the width-``order`` windows of ``sym``."""
+    import numpy as np
+
     n_windows = sym.size - order + 1
     codes = sym[:n_windows].astype(dtype)
     for k in range(1, order):
@@ -65,6 +71,8 @@ def _count_table(sym: np.ndarray, base: int, order: int) -> np.ndarray:
     """Counts of the width-``order`` windows of ``sym`` in one table of
     base**order cells indexed by window code, in the narrowest unsigned dtype
     that holds the token count, which no cell can exceed."""
+    import numpy as np
+
     cells = base**order
     table = np.zeros(cells, dtype=np.min_scalar_type(sym.size))
     code_dtype = np.min_scalar_type(cells - 1)
@@ -79,6 +87,8 @@ def _count_table(sym: np.ndarray, base: int, order: int) -> np.ndarray:
 def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct int64 codes of the width-``order`` windows of ``sym``,
     whose symbols lie in 0..base-1, and the int64 count of each."""
+    import numpy as np
+
     # widened, so that a marginal's modulus L**n fits even where L**order
     # fills the narrow dtype
     codes, counts = np.unique(_window_codes(sym, base, order, np.min_scalar_type(base**order - 1)),
@@ -87,6 +97,8 @@ def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, 
 
 
 def _nonzero(cells: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return cells[cells != 0].astype(np.int64)
 
 
@@ -118,6 +130,8 @@ def _sorted_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[floa
 
 
 def _entropy(counts: np.ndarray) -> float:
+    import numpy as np
+
     prob = counts / counts.sum()
     return float(-(prob * np.log2(prob)).sum())
 
@@ -137,6 +151,8 @@ class EntropyProfile:
     inventory_symbols: int
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name, least in (("sample_tokens", 0), ("inventory_symbols", 2)):
             object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         h = np.asarray(self.entropies, dtype=float)
@@ -183,6 +199,8 @@ def entropy_profile(
     Orders the stream cannot adequately sample (tokens < L**order) are
     flagged in ``adequate``.
     """
+    import numpy as np
+
     max_order = _whole(max_order, "max_order", 1)
     count = inventory.symbol_count if isinstance(inventory, SymbolInventory) else inventory
     if isinstance(stream, SymbolStream):

@@ -1232,7 +1232,7 @@ def test_empty_word_list(tmp_path, capsys, text):
 
 
 def test_runs_as_a_module(reference_style_wordlist):
-    # as __main__, the commands still reach the layer functions loaded on first use
+    # as __main__, the commands still reach the layer functions they import
     proc = run_python("-m", "wordlen.cli", "histogram", reference_style_wordlist)
     assert proc.returncode == 0, proc.stderr
     assert "2,93" in proc.stdout.splitlines()

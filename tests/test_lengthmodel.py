@@ -209,6 +209,26 @@ class TestFit:
         with pytest.raises(ValueError):
             lm.FittedLengthModel(27, 0.9, -1.0, 48, 1.0)
 
+    @pytest.mark.parametrize("chi_square, df, p_value, message", [
+        (3.0, 2.5, 0.5, "df must be an integer, not 2.5"),
+        (3.0, 3.0, 0.5, "df must be an integer, not 3.0"),
+        (3.0, 0, 0.5, "df must be >= 1"),
+        (math.nan, 3, 0.5, "chi_square must be in [0, inf), got nan"),
+        (math.inf, 3, 0.0, "chi_square must be in [0, inf), got inf"),
+        (3.0, 3, math.nan, "p_value must be in [0, 1], got nan"),
+        (3.0, 3, 1.5, "p_value must be in [0, 1], got 1.5"),
+        (3.0, 3, -0.1, "p_value must be in [0, 1], got -0.1"),
+    ])
+    def test_fit_statistics_are_checked(self, chi_square, df, p_value, message):
+        # fit_artifact writes these fields as they are: a float df or a NaN
+        # would reach the JSON
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lm.FittedLengthModel(27, 0.88, chi_square, df, p_value)
+
+    def test_numpy_integer_df_is_stored_as_an_int(self):
+        model = lm.FittedLengthModel(27, 0.88, 3.0, np.int64(3), 0.5)
+        assert type(model.df) is int and model.df == 3
+
 
 class TestClosedForms:
     def test_mean_exact_single_point(self):

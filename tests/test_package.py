@@ -1,4 +1,4 @@
-import importlib
+import sys
 
 import pytest
 
@@ -9,10 +9,9 @@ from test_cli import run_python
 
 def test_every_export_is_its_home_modules_object():
     for name in wordlen.__all__:
-        home = importlib.import_module(f"wordlen.{wordlen._HOME[name]}")
         value = getattr(wordlen, name)
-        assert value is getattr(home, name), name
-        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        assert value.__module__.startswith("wordlen."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
 
 
 def test_exports_are_pinned():
@@ -35,13 +34,11 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(wordlen, "fit")
 
 
-def test_readme_quickstart_loads_layers_on_first_use():
-    proc = run_python("-c", "import sys; import wordlen as w; "
-                            "print('numpy' in sys.modules, 'wordlen.lengthmodel' in sys.modules); "
-                            "w.fit_p; print('wordlen.lengthmodel' in sys.modules, "
-                            "w.fit_p is sys.modules['wordlen.lengthmodel'].fit_p)")
+def test_readme_quickstart_imports_without_numpy():
+    proc = run_python("-c", "import sys; import wordlen as w; print('numpy' in sys.modules, "
+                            "w.fit_p is w.lengthmodel.fit_p)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True", "True"]
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_histogram_type_loads_no_numpy():
