@@ -2,13 +2,13 @@
 
 Word lists (one word per line, ``#`` comments allowed) become the length
 in symbols of each distinct normalised word; corpora become flat streams
-of symbol indices with single separators between words. Both split text by
-one greedy rule, ``_multigraph_pattern``: a regex over the multi-character
-symbols, longest first, replaces such a symbol by one character wherever
-one starts, and every other character is a symbol of its own. A word list
-needs only lengths and is read in plain Python; a corpus is coded block by
-block into one narrow numpy array, and numpy is imported only when one is
-loaded.
+of symbol indices with single separators between words. Both write their
+text in one-character forms from ``_single_forms``: each multi-character
+symbol becomes a lone surrogate wherever a greedy, longest-first regex
+finds it, so every symbol is one character. A word's length is then its
+character count; a corpus is coded block by block through a table over
+just the symbols' characters into one narrow numpy array, and numpy is
+imported only when one is loaded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .inventory import InventoryError, SymbolInventory, _whole
 from .report import WordLengthHistogram
@@ -81,34 +81,35 @@ class SymbolStream:
                 raise ValueError("consecutive separators in stream")
 
 
-def _multigraph_pattern(symbols: Sequence[str]) -> re.Pattern | None:
-    """Regex over the symbols longer than one character, longest first, or
-    None when there are none.
-
-    Alternatives are tried in order without backtracking, so each position
-    takes the longest symbol that starts there.
-    """
-    multi = sorted((s for s in symbols if len(s) > 1), key=len, reverse=True)
-    return re.compile("|".join(map(re.escape, multi))) if multi else None
-
-
-def _code_table(symbols: Sequence[str]) -> tuple[np.ndarray, dict[str, str]]:
-    """Code of every code point, and the placeholder of each multi-character
-    symbol: the lone surrogate U+D800 + j for the j-th, which strict UTF-8
-    decoding never yields. ``symbols[i]`` and its placeholder code as ``i``,
-    every other character as ``len(symbols)``."""
-    import numpy as np
-
+def _single_forms(symbols: Sequence[str], text: str) -> tuple[list[str], Callable | None]:
+    """Each symbol's one-character form, and a writer of text in those forms
+    (None when every symbol is one character). The j-th multi-character
+    symbol's form is the lone surrogate U+D800 + j, which strict UTF-8 never
+    yields; the writer replaces such symbols longest first, without
+    backtracking. Then a ``text`` holding a lone surrogate is refused."""
     multi = [s for s in symbols if len(s) > 1]
     if len(multi) > 2048:  # U+D800..U+DFFF
-        raise InventoryError(f"{len(multi)} multi-character symbols; a corpus can be "
+        raise InventoryError(f"{len(multi)} multi-character symbols; text can be "
                              "coded with at most 2048")
-    marks = {s: chr(0xD800 + j) for j, s in enumerate(multi)}
-    unknown = len(symbols)
-    table = np.full(0x110000, unknown, dtype=np.min_scalar_type(unknown))
-    for i, sym in enumerate(symbols):
-        table[ord(marks.get(sym, sym))] = i
-    return table, marks
+    if multi and not text.isascii() and (lone := re.search("[\ud800-\udfff]", text)):
+        raise ValueError(f"lone surrogate {lone[0]!r} at index {lone.start()} of the text")
+    forms = {s: chr(0xD800 + j) for j, s in enumerate(multi)}
+    pattern = re.compile("|".join(map(re.escape, sorted(multi, key=len, reverse=True))))
+    write = (lambda block: pattern.sub(lambda m: forms[m[0]], block)) if multi else None
+    return [forms.get(s, s) for s in symbols], write
+
+
+def _code_table(forms: Sequence[str]) -> np.ndarray:
+    """Code of each character up to the highest of ``forms``: ``forms[i]``
+    codes as ``i``, any other as ``len(forms)``, as does the one cell more
+    that stands for every character past them."""
+    import numpy as np
+
+    unknown = len(forms)
+    table = np.full(max(map(ord, forms)) + 2, unknown, dtype=np.min_scalar_type(unknown))
+    for i, form in enumerate(forms):
+        table[ord(form)] = i
+    return table
 
 
 def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list[int]:
@@ -119,18 +120,18 @@ def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list
     NFC-normalized (lowercased when the inventory folds case); blank lines
     and ``#`` comments are skipped; duplicates collapse. A word using a
     symbol outside the inventory aborts with its line number in strict mode
-    and is skipped otherwise.
+    and is skipped otherwise. Text holding a lone surrogate is refused where
+    a letter is longer than one character.
     """
+    forms, write = _single_forms(inv.letters, text)
     # One pass over the whole text gives each line's normal form: NFC and
     # lower() keep every line break and every whitespace character, and
     # neither composes, reorders or case-maps across one.
     text = inv.normalize(text)
     words = [w for w in dict.fromkeys(map(str.strip, text.splitlines())) if w and w[0] != "#"]
-    # A multigraph is one symbol: each match becomes "\n", which no line
-    # holds, and a word is valid when every character left is a letter.
-    pattern = _multigraph_pattern(inv.letters)
-    marked = [pattern.sub("\n", w) for w in words] if pattern else words
-    allowed = {s for s in inv.letters if len(s) == 1} | {"\n"}
+    # no symbol spans a "\n", so the distinct words are written in one pass
+    marked = write("\n".join(words)).split("\n") if write and words else words
+    allowed = set(forms)
     lengths = [len(m) for m in marked if allowed.issuperset(m)]
     if strict and len(lengths) < len(words):
         word, rest = next((w, m) for w, m in zip(words, marked) if not allowed.issuperset(m))
@@ -148,8 +149,7 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     and digits act as word boundaries); strict mode raises on them, except
     that whitespace always counts as a separator. Separator runs collapse
     to one and leading/trailing separators are trimmed. Text holding a lone
-    surrogate is refused where a symbol is longer than one character, as
-    such a symbol is coded as one.
+    surrogate is refused where a symbol is longer than one character.
 
     The text is normalised and coded in blocks, each cut just after the first
     ``"\\n"`` at least ``_BLOCK_CHARS`` characters on, so that memory beyond
@@ -158,9 +158,8 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
     """
     import numpy as np
 
-    (table, marks), pattern = _code_table(inv.symbols), _multigraph_pattern(inv.symbols)
-    if pattern and not text.isascii() and (lone := re.search("[\ud800-\udfff]", text)):
-        raise ValueError(f"lone surrogate {lone[0]!r} at index {lone.start()} of the text")
+    forms, write = _single_forms(inv.symbols, text)
+    table = _code_table(forms)
     unknown, sep = inv.symbol_count, inv.separator_index
     # every token is at least one character, so only text that
     # normalisation lengthened can outgrow this
@@ -170,18 +169,16 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
         cut = text.find("\n", start + _BLOCK_CHARS - 1)
         end = len(text) if cut < 0 else cut + 1
         block = inv.normalize(text[start:end])
-        # with each multi-character symbol replaced, every token is one character
-        if pattern:
-            block = pattern.sub(lambda m: marks[m[0]], block)
-        # numpy holds a str as UCS-4 code points; it would give an empty
-        # str one NUL, but no block is empty
-        codes = table[np.array([block]).view(np.uint32)]
+        block = write(block) if write else block
+        # numpy holds a str as UCS-4 code points (an empty str as one NUL, but
+        # no block is empty); points past the table clip to its unknown cell
+        codes = table.take(np.array([block]).view(np.uint32), mode="clip")
         if strict:
             for pos in np.flatnonzero(codes == unknown):
                 if not block[pos].isspace():
                     # lines counted as load_wordlist counts them, over the
                     # whole normalised text: each earlier block ends in "\n",
-                    # and no placeholder stands for a line break
+                    # and no symbol's form is a line break
                     before = inv.normalize(text[:start]) + block[: pos + 1]
                     raise TokenizationError(f"symbol {block[pos]!r} not in inventory",
                                             line=len(before.splitlines()))

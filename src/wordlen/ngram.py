@@ -16,11 +16,11 @@ symbol most significant. When the top order is adequately sampled
 (tokens >= L**k), slices of the stream are added in place into one table of
 L**k cells, in the narrowest unsigned dtype that holds the token count, and
 every marginal is a reshape sum of it. Otherwise every window is coded once
-and sorted, and the marginals are summed over the distinct codes
-(``code % L**n`` codes a window's last n symbols). Both give each entropy
-the same nonzero counts in code order. Every H_n is clamped to
-[0, H_{n-1}] so that rounding never lifts it above the order before. These
-hold exactly on any input:
+and sorted in place, and each lower order sums runs of the sorted distinct
+codes of the one above (``code % L**n`` codes a window's last n symbols).
+Both give each entropy the same nonzero counts in code order. Every H_n is
+clamped to [0, H_{n-1}] so that rounding never lifts it above the order
+before. These hold exactly on any input:
 
     0 <= H_n <= log2(L)        and        H_n <= H_{n-1}
 
@@ -45,12 +45,15 @@ _CODE_BITS = 62
 _SLICE_WINDOWS = 1 << 16
 
 
-def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the summed counts of each."""
+def _runs(keys: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of the sorted, nonempty ``keys`` and, as int64, the
+    length of each one's run, or the sum of ``counts`` over it."""
     import numpy as np
 
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=counts).astype(np.int64)
+    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    if counts is None:
+        return keys[starts], np.diff(starts, append=keys.size)
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def _window_codes(sym: np.ndarray, base: int, order: int, dtype) -> np.ndarray:
@@ -89,10 +92,11 @@ def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, 
     whose symbols lie in 0..base-1, and the int64 count of each."""
     import numpy as np
 
+    codes = _window_codes(sym, base, order, np.min_scalar_type(base**order - 1))
+    codes.sort()
+    codes, counts = _runs(codes)
     # widened, so that a marginal's modulus L**n fits even where L**order
     # fills the narrow dtype
-    codes, counts = np.unique(_window_codes(sym, base, order, np.min_scalar_type(base**order - 1)),
-                              return_counts=True)
     return codes.astype(np.int64), counts
 
 
@@ -120,13 +124,18 @@ def _table_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[float
 
 def _sorted_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[float, float]]:
     """The same entropies as ``_table_entropies``, of the same counts summed
-    over the sorted distinct window codes."""
+    over the sorted distinct window codes, from the top order down."""
     codes, counts = _count_windows(sym, base, order)
     pairs = []
-    for n in range(1, order + 1):
-        tail, tail_counts = _sum_by(codes % base**n, counts)
-        pairs.append((_entropy(tail_counts), _entropy(_sum_by(tail // base, tail_counts)[1])))
-    return pairs
+    for n in range(order, 0, -1):
+        # codes holds each distinct last n symbols, sorted, so its contexts
+        # (codes // L) are sorted too; the order below sorts only these codes
+        pairs.append((_entropy(counts), _entropy(_runs(codes // base, counts)[1])))
+        if n > 1:
+            tail = codes % base ** (n - 1)
+            by_tail = tail.argsort()
+            codes, counts = _runs(tail[by_tail], counts[by_tail])
+    return pairs[::-1]
 
 
 def _entropy(counts: np.ndarray) -> float:

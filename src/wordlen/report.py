@@ -74,8 +74,13 @@ class Artifact:
     rows: tuple[tuple, ...]
 
     def to_csv(self) -> str:
+        """The CSV rendering; a comment or text cell that would break the
+        layout (a line break, or a comma or double quote in a cell) is
+        refused, not quoted."""
         out = io.StringIO()
         for comment in self.comments:
+            if "".join(comment.splitlines()) != comment:
+                raise ValueError(f"CSV comment {comment!r} cannot hold a line break")
             out.write(f"# {comment}\n")
         out.write(",".join(self.header) + "\n")
         for row in self.rows:
@@ -102,7 +107,11 @@ def _cell(value, column: str) -> str:
         return str(value)
     if isinstance(value, float):
         return f"{value:.2f}" if column in ENTROPY_COLUMNS else repr(value)
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "".join(text.splitlines()) != text:
+        raise ValueError(f"CSV column {column!r} cannot hold {text!r}: it has a comma, "
+                         "a double quote or a line break")
+    return text
 
 
 def _label_comment(label: str) -> tuple[str, ...]:

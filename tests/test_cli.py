@@ -200,6 +200,63 @@ class TestFitCommand:
             artifact.to_json()
 
 
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+
+
+class TestCsvLayout:
+    """A comment or text cell that would break the CSV layout is refused in
+    one line that names it, before ``--out`` is opened; JSON carries it."""
+
+    @pytest.mark.parametrize("label", ["en,GB", 'en "GB"', "en\nGB", "en\u2028GB"])
+    def test_fit_label_cell(self, model_wordlist, tmp_path, capsys, label):
+        # "en,GB" used to write 19 cells under an 18-column header
+        out = tmp_path / "fit.csv"
+        assert run(["fit", model_wordlist, "--label", label, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"wordlen fit: CSV column 'label' cannot hold {label!r}: it has a comma, "
+            "a double quote or a line break"]
+        assert not out.exists()
+        assert run(["fit", model_wordlist, "--label", label, "--format", "json",
+                    "--out", out]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["label"] == label
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_entropy_label_comment(self, tmp_path, capsys, brk):
+        # a "\n" used to write a stray line after the comment
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("the cat sat on the mat\n" * 20, encoding="utf-8")
+        out = tmp_path / "profile.csv"
+        label = f"x{brk}y"
+        assert run(["entropy", corpus, "--max-order", "1", "--label", label, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"wordlen entropy: CSV comment {'label=' + label!r} cannot hold a line break"]
+        assert not out.exists()
+
+    def test_histogram_label_from_the_file_stem(self, tmp_path, capsys):
+        # this used to write a CSV that implied --histogram refused with
+        # "line 3: cannot read 'ird'"
+        words = tmp_path / "b\nird.txt"
+        words.write_text("cat\ndog\n", encoding="utf-8")
+        out = tmp_path / "hist.csv"
+        assert run(["histogram", words, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "wordlen histogram: CSV comment 'label=b\\nird' cannot hold a line break"]
+        assert not out.exists()
+        assert run(["histogram", words, "--format", "json", "--out", out]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["label"] == "b\nird"
+
+    def test_what_keeps_the_layout_is_written_as_before(self):
+        artifact = Artifact({}, ("label=a b;c#",), ("name", "n"), (("a b;c", 1.5),))
+        assert artifact.to_csv() == "# label=a b;c#\nname,n\na b;c,1.5\n"
+        for brk in LINE_BREAKS:
+            with pytest.raises(ValueError) as err:
+                Artifact({}, (), ("name", "n"), ((f"a{brk}b", 1),)).to_csv()
+            assert str(err.value).splitlines() == [
+                f"CSV column 'name' cannot hold {f'a{brk}b'!r}: it has a comma, "
+                "a double quote or a line break"]
+
+
 class TestEntropyCommand:
     def test_periodic_corpus_has_zero_second_order(self, tmp_path):
         corpus = tmp_path / "c.txt"

@@ -131,13 +131,51 @@ def wordlist_outcome(load, text, inv, strict):
         return str(err), err.line
 
 
+def parent_wordlist(text, inv, strict=False):
+    """``load_wordlist`` by the per-word rule that one-character forms
+    replaced: each multigraph match, longest first, becomes "\n", which no
+    line holds, and a word is valid when every character left is a
+    single-character letter or "\n"."""
+    multi = sorted((s for s in inv.letters if len(s) > 1), key=len, reverse=True)
+    pattern = re.compile("|".join(map(re.escape, multi))) if multi else None
+    lines = [line.strip() for line in inv.normalize(text).splitlines()]
+    allowed = {s for s in inv.letters if len(s) == 1} | {"\n"}
+    lengths = []
+    for word in (w for w in dict.fromkeys(lines) if w and w[0] != "#"):
+        marked = pattern.sub("\n", word) if pattern else word
+        bad = next((c for c in marked if c not in allowed), None)
+        if bad is None:
+            lengths.append(len(marked))
+        elif strict:
+            what = "separator" if bad == inv.separator else f"symbol {bad!r}"
+            raise TokenizationError(f"{what} not allowed inside a word",
+                                    line=1 + lines.index(word))
+    return lengths
+
+
+@st.composite
+def overlapping_wordlists(draw):
+    """An inventory of single letters and 2-3 character multigraphs over
+    ``abc#`` (overlapping sets and letters that begin with ``#`` included),
+    and a word list over it with comments, blanks, duplicates and unknown
+    symbols."""
+    singles = draw(st.lists(st.sampled_from("abc#"), min_size=1, max_size=4, unique=True))
+    multis = draw(st.lists(st.text(alphabet="abc#", min_size=2, max_size=3),
+                           max_size=4, unique=True))
+    inv = SymbolInventory(singles + multis, draw(st.sampled_from([" ", "_", "||"])))
+    pool = draw(st.lists(st.text(alphabet="abcA#xé _|", max_size=6), min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return inv, draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
 def count_table_builds(monkeypatch):
+    """Cells of each code table built while the patch holds."""
     built = []
     real = ingest._code_table
 
-    def counting(symbols):
-        built.append(1)
-        return real(symbols)
+    def counting(forms):
+        built.append(real(forms).size)
+        return real(forms)
 
     monkeypatch.setattr(ingest, "_code_table", counting)
     return built
@@ -164,13 +202,16 @@ class TestWordlist:
             load_wordlist("two words", ENGLISH, strict=True)
 
     def test_one_tokenizer_per_list(self, monkeypatch):
-        # a word list needs only lengths and builds no code-point table; a
-        # corpus builds one per call
+        # a word list needs only lengths and builds no code table; a corpus
+        # builds one per call, over just the characters up to "z" and one
+        # cell more for every character past it
         built = count_table_builds(monkeypatch)
         ws = load_wordlist("cat\nnaïve\ndog\ncat", ENGLISH)
         assert len(ws) == 2 and not built
         load_corpus("cat naïve dog\ncat", ENGLISH)
-        assert len(built) == 1
+        assert built == [ord("z") + 2]
+        load_corpus("chai", SWAHILI)  # ch takes the form U+D800
+        assert built == [ord("z") + 2, 0xD800 + 2]
 
     def test_accepts_text_blob(self):
         ws = load_wordlist("a\nb\nc\n", ENGLISH)
@@ -223,6 +264,30 @@ class TestWordlist:
         for strict in (False, True):
             assert (wordlist_outcome(load_wordlist, text, inv, strict)
                     == wordlist_outcome(wordlist_reference, text, inv, strict))
+
+    @settings(max_examples=300)
+    @given(overlapping_wordlists())
+    @example((OVERLAPPING, "ab\naab\nbcbcbc\nabc\nab\n\n# x"))
+    @example((SymbolInventory(["a", "#a", "b"]), "#a\na#a\n\nb#a\nx#a\na#a"))
+    def test_matches_per_word_marking(self, drawn):
+        # the distinct words, marked in one pass, give the lengths, messages
+        # and lines that marking each word with "\n" gave
+        inv, text = drawn
+        for strict in (False, True):
+            assert (wordlist_outcome(load_wordlist, text, inv, strict)
+                    == wordlist_outcome(parent_wordlist, text, inv, strict))
+
+    def test_lone_surrogate_is_refused_beside_multigraphs(self):
+        # a multigraph is written as a lone surrogate, which would read as ch here
+        for strict in (False, True):
+            with pytest.raises(ValueError) as err:
+                load_wordlist("chai\nna\ud800", SWAHILI, strict)
+            assert str(err.value).splitlines() == [
+                "lone surrogate '\\ud800' at index 7 of the text"]
+        # without a multigraph it is an unknown symbol, as any other
+        assert load_wordlist("ab\na\ud800c\ncat", ENGLISH) == [2, 3]
+        with pytest.raises(TokenizationError, match="line 2: symbol '\\\\ud800' not allowed"):
+            load_wordlist("ab\na\ud800c\ncat", ENGLISH, strict=True)
 
     @settings(max_examples=300)
     @given(st.sampled_from([ENGLISH, SWAHILI, ACCENTED]),
@@ -313,7 +378,26 @@ class TestCorpus:
         with pytest.raises(InventoryError) as err:
             load_corpus("x", SymbolInventory(pairs))
         assert str(err.value).splitlines() == [
-            "2049 multi-character symbols; a corpus can be coded with at most 2048"]
+            "2049 multi-character symbols; text can be coded with at most 2048"]
+        # word lists write the same forms, within the same limit
+        assert load_wordlist(pairs[2047] + pairs[0] + "\n" + pairs[1], inv) == [2, 1]
+        with pytest.raises(InventoryError) as err:
+            load_wordlist("x", SymbolInventory(pairs))
+        assert str(err.value).splitlines() == [
+            "2049 multi-character symbols; text can be coded with at most 2048"]
+
+    def test_characters_past_the_table_are_unknown(self):
+        # the table ends one cell past "z"; every point beyond reads that cell
+        assert load_corpus("a😀b", ENGLISH).symbols.tolist() == [0, 26, 1]
+        with pytest.raises(TokenizationError, match="line 1: symbol '😀' not in inventory"):
+            load_corpus("a😀b", ENGLISH, strict=True)
+
+    def test_non_bmp_letter(self):
+        # the table reaches the letter's code point, with or without a
+        # multigraph whose form lies below it
+        assert load_corpus("𝔞a 𝔞😀", SymbolInventory(["a", "𝔞"])).symbols.tolist() == [1, 0, 2, 1]
+        inv = SymbolInventory(["a", "𝔞", "ch"])
+        assert load_corpus("𝔞a 𝔞😀 𝔞ch", inv).symbols.tolist() == [1, 0, 3, 1, 3, 1, 2]
 
     @settings(max_examples=200)
     @given(st.data())

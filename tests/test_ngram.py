@@ -207,6 +207,29 @@ class TestCounting:
             tracemalloc.stop()
         assert peak <= 8 * inv.symbol_count**4
 
+    def test_sort_route_memory(self):
+        # Zipf-drawn words over skewed letters, far too few tokens to sample
+        # order 6 over 24 symbols, so the windows are sorted; sorting a copy
+        # of them and summing each order through np.unique's index arrays
+        # took about 24 bytes per token here, and one in-place sort about 17
+        letters = 23
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(2, 11, size=20_000)
+        odds = 1.0 / np.arange(1, letters + 1)
+        flat = rng.choice(letters, size=int(lengths.sum()), p=odds / odds.sum())
+        words = [np.append(w, letters) for w in np.split(flat, np.cumsum(lengths)[:-1])]
+        zipf = 1.0 / (np.arange(len(words)) + 2.7)
+        ranks = rng.choice(len(words), size=120_000, p=zipf / zipf.sum())
+        stream = np.concatenate([words[r] for r in ranks.tolist()]).astype(np.uint8)
+        assert stream.size < (letters + 1) ** 6
+        tracemalloc.start()
+        try:
+            entropy_profile(stream, letters + 1, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * stream.size, peak / stream.size
+
     def test_code_width_guard(self):
         with pytest.raises(ValueError, match="coding"):
             entropy_profile(np.arange(27).repeat(3), 27, 40)
