@@ -10,17 +10,18 @@ plug-in estimate is biased low once contexts get sparse; profiles therefore
 carry a per-order adequacy flag (stream shorter than L**n windows cannot
 sample order n).
 
-``entropy_profile`` is the one entry. It checks its input and counts
-the stream's width-k windows at the top order k, coded base L with the first
-symbol most significant. When the top order is adequately sampled
-(tokens >= L**k), slices of the stream are added in place into one table of
-L**k cells, in the narrowest unsigned dtype that holds the token count, and
-every marginal is a reshape sum of it. Otherwise every window is coded once
-and sorted in place, and each lower order sums runs of the sorted distinct
-codes of the one above (``code % L**n`` codes a window's last n symbols).
-Both give each entropy the same nonzero counts in code order. Every H_n is
-clamped to [0, H_{n-1}] so that rounding never lifts it above the order
-before. These hold exactly on any input:
+``entropy_profile`` is the one entry. It checks its input and counts the
+stream's width-k windows at the top order k, coded base L with the first
+symbol most significant, as sorted distinct codes and the count of each.
+When the top order is adequately sampled (tokens >= L**k), slices of the
+stream are added in place into one table of L**k cells, in the narrowest
+unsigned dtype that holds the token count, and its nonzero cells are read
+off; otherwise the window codes are sorted in place and counted by runs.
+One routine sums each lower order over runs of the distinct codes of the
+one above (``code % L**n`` codes a window's last n symbols), so each entropy
+gets the same counts whichever counter made them. Every H_n is clamped to
+[0, H_{n-1}] so that rounding never lifts it above the order before. These
+hold exactly on any input:
 
     0 <= H_n <= log2(L)        and        H_n <= H_{n-1}
 
@@ -46,14 +47,15 @@ _SLICE_WINDOWS = 1 << 16
 
 
 def _runs(keys: np.ndarray, counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of the sorted, nonempty ``keys`` and, as int64, the
-    length of each one's run, or the sum of ``counts`` over it."""
+    """Distinct values of the sorted, nonempty ``keys`` and the int64 length
+    of each one's run, or the sum of ``counts`` over it in their dtype."""
     import numpy as np
 
     starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
     if counts is None:
         return keys[starts], np.diff(starts, append=keys.size)
-    return keys[starts], np.add.reduceat(counts, starts)
+    # in the counts' dtype, which holds any sum, not in a uint64 copy of them
+    return keys[starts], np.add.reduceat(counts, starts, dtype=counts.dtype)
 
 
 def _window_codes(sym: np.ndarray, base: int, order: int, dtype) -> np.ndarray:
@@ -100,41 +102,37 @@ def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, 
     return codes.astype(np.int64), counts
 
 
-def _nonzero(cells: np.ndarray) -> np.ndarray:
+def _distinct_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct codes of the width-``order`` windows of ``sym`` and their
+    counts: off ``_count_table`` when ``sym`` has at least base**order tokens,
+    so no more cells than tokens, and from ``_count_windows`` otherwise."""
     import numpy as np
 
-    return cells[cells != 0].astype(np.int64)
+    if sym.size < base**order:
+        return _count_windows(sym, base, order)
+    table = _count_table(sym, base, order)
+    codes = np.flatnonzero(table)
+    return codes, table[codes]
 
 
-def _table_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[float, float]]:
+def _entropies(codes: np.ndarray, counts: np.ndarray, base: int,
+               order: int) -> list[tuple[float, float]]:
     """For n = 1..order, the plug-in entropies of the windows' last n symbols
-    and of the n-1 symbols before their target, read off one table by
-    reshape sums; each gets its nonzero int64 counts in code order."""
-    joint = _count_table(sym, base, order)
-    pairs = []
-    for n in range(order, 0, -1):
-        counts = _nonzero(joint)
-        context = _nonzero(joint.reshape(-1, base).sum(1))
-        # the order below is summed from this one, so the table is freed
-        # before the top order's entropy is taken
-        joint = joint.reshape(-1, base ** (n - 1)).sum(0)
-        pairs.append((_entropy(counts), _entropy(context)))
-    return pairs[::-1]
-
-
-def _sorted_entropies(sym: np.ndarray, base: int, order: int) -> list[tuple[float, float]]:
-    """The same entropies as ``_table_entropies``, of the same counts summed
-    over the sorted distinct window codes, from the top order down."""
-    codes, counts = _count_windows(sym, base, order)
+    and of the n-1 symbols before their target, summed from the top order
+    down over the sorted distinct ``codes`` and their ``counts``. Both are
+    overwritten in place, since the caller's arguments keep them alive."""
     pairs = []
     for n in range(order, 0, -1):
         # codes holds each distinct last n symbols, sorted, so its contexts
         # (codes // L) are sorted too; the order below sorts only these codes
         pairs.append((_entropy(counts), _entropy(_runs(codes // base, counts)[1])))
         if n > 1:
-            tail = codes % base ** (n - 1)
-            by_tail = tail.argsort()
-            codes, counts = _runs(tail[by_tail], counts[by_tail])
+            codes %= base ** (n - 1)
+            by_tail = codes.argsort()
+            codes[:] = codes[by_tail]
+            counts[:] = counts[by_tail]
+            del by_tail
+            codes, counts = _runs(codes, counts)
     return pairs[::-1]
 
 
@@ -142,7 +140,10 @@ def _entropy(counts: np.ndarray) -> float:
     import numpy as np
 
     prob = counts / counts.sum()
-    return float(-(prob * np.log2(prob)).sum())
+    h = np.log2(prob)
+    h *= prob
+    # 0.0 - x, not -x, so that a one-cell distribution gives 0.0 and not -0.0
+    return float(0.0 - h.sum())
 
 
 @dataclass(frozen=True)
@@ -223,11 +224,9 @@ def entropy_profile(
     if sym.size < max_order:
         raise ValueError(f"stream of {sym.size} symbols is too short for order {max_order}")
 
-    # an adequately sampled top order has no more table cells than tokens;
-    # a sparser one is sorted
-    route = _table_entropies if sym.size >= base**max_order else _sorted_entropies
     entropies = [math.log2(base)]
-    for order, (joint, context) in enumerate(route(sym, base, max_order), 1):
+    pairs = _entropies(*_distinct_windows(sym, base, max_order), base, max_order)
+    for order, (joint, context) in enumerate(pairs, 1):
         # the order-1 target has no symbols before it
         h = joint - (context if order > 1 else 0.0)
         entropies.append(min(max(h, 0.0), entropies[-1]))

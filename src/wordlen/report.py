@@ -151,12 +151,13 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     counts: dict[int, int] = {}
     overflow = None
     text = read_utf8(path)
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            flag = line.lstrip("# ").strip()
+            # the right end is the label's own: it may end in whitespace
+            flag = raw.lstrip().lstrip("# ")
             if flag.startswith("label="):
                 label = flag[len("label="):]
             continue

@@ -283,6 +283,18 @@ class TestEntropyCommand:
         assert rows[0]["adequate"] == "true"
         assert rows[3]["adequate"] == "false"
 
+    def test_no_entropy_prints_as_negative_zero(self, tmp_path, capsys):
+        # one window of order 1 gave -(0.0), printed as -0.00 and -0.0
+        corpus = tmp_path / "ab.txt"
+        corpus.write_text("ab", encoding="utf-8")
+        assert run(["entropy", corpus, "--max-order", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "# label=ab\norder,entropy_bits,windows,adequate\n"
+            "0,4.75,2,true\n1,0.00,1,false\n2,0.00,1,false\n")
+        assert run(["entropy", corpus, "--max-order", "2", "--format", "json"]) == 0
+        orders = json.loads(capsys.readouterr().out)["orders"]
+        assert [math.copysign(1.0, o["entropy_bits"]) for o in orders] == [1.0] * 3
+
     def test_entropy_never_rises_with_order(self, tmp_path):
         # H_3 was written one rounding step above H_2, as 0.3333333333333335
         inventory = tmp_path / "inv.json"
@@ -1132,6 +1144,22 @@ class TestHistogramReader:
         path.write_text("\n".join(["length,count", *rows]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"h.csv: {problem}"):
             read_histogram_csv(path)
+
+    def test_label_keeps_its_trailing_whitespace(self, tmp_path, capsys):
+        # the label is the file's stem, "x "; it was read back as "x"
+        words = tmp_path / "x .txt"
+        words.write_text("cat\ndog\n", encoding="utf-8")
+        hist = tmp_path / "h.csv"
+        assert run(["histogram", words, "--out", hist]) == 0
+        assert "# label=x \n" in hist.read_text(encoding="utf-8")
+        assert read_histogram_csv(hist).label == "x "
+        assert run(["implied", "--histogram", hist, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "x "
+
+    def test_comment_prefix_is_lenient(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("  #  # label= a b \nlength,count\n1,5\n", encoding="utf-8")
+        assert read_histogram_csv(path).label == " a b "
 
     def test_far_length_reports_first_gap_in_bounded_memory(self, tmp_path):
         # listing every absent length up to 10**9 would need gigabytes; the
