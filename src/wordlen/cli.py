@@ -3,8 +3,10 @@
 Subcommands mirror the library layers: ``histogram`` and ``fit`` work on
 word lists, ``entropy`` on corpora, ``predict`` and ``implied`` convert
 between entropies and word counts, and ``simulate`` runs the bag model.
-Every subcommand is deterministic given its inputs (and seed) and writes
-one artifact as CSV or JSON.
+Every subcommand is deterministic given its inputs (and seed). Each
+``_cmd_*`` builds its artifacts and returns them with their destinations:
+one for every command, and for ``fit`` a second with ``--curve-out``.
+``main`` writes them in order, each in the one ``--format`` given.
 
 Only ``entropy`` and ``simulate`` load numpy: the layers import it inside
 the functions that compute with arrays. The commands call the layer
@@ -27,7 +29,7 @@ from . import lengthmodel, report, simulate
 from .ingest import load_corpus, load_wordlist, word_length_histogram
 from .inventory import PRESET_NAMES, SymbolInventory, _whole, read_utf8, resolve_inventory
 from .ngram import entropy_profile
-from .report import WordLengthHistogram
+from .report import Artifact, WordLengthHistogram
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
 
@@ -128,25 +130,22 @@ def _wordlist_histogram(args) -> tuple[SymbolInventory, WordLengthHistogram]:
     return inv, hist
 
 
-def _cmd_histogram(args) -> int:
+def _cmd_histogram(args) -> list[tuple[Artifact, str]]:
     _, hist = _wordlist_histogram(args)
-    report.write_artifact(report.histogram_artifact(hist), args.format, args.out)
-    return 0
+    return [(report.histogram_artifact(hist), args.out)]
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> list[tuple[Artifact, str]]:
     inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
     artifact = report.fit_artifact(hist, model, label=args.label, scale_a=args.scale_a)
-    report.write_artifact(artifact, args.format, args.out)
+    outputs = [(artifact, args.out)]
     if args.curve_out:
-        report.write_artifact(
-            report.fit_curve_artifact(hist, model), args.format, args.curve_out
-        )
-    return 0
+        outputs.append((report.fit_curve_artifact(hist, model), args.curve_out))
+    return outputs
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> list[tuple[Artifact, str]]:
     inv = resolve_inventory(args.inventory)
     stream = load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
     profile = entropy_profile(stream, inv, args.max_order)
@@ -154,12 +153,11 @@ def _cmd_entropy(args) -> int:
         print(f"wordlen entropy: warning: stream of {profile.sample_tokens} tokens cannot "
               f"adequately sample order >= {profile.adequate.index(False)} over "
               f"{profile.inventory_symbols} symbols", file=sys.stderr)
-    artifact = report.profile_artifact(profile, label=args.label or Path(args.corpus).stem)
-    report.write_artifact(artifact, args.format, args.out)
-    return 0
+    return [(report.profile_artifact(profile, label=args.label or Path(args.corpus).stem),
+             args.out)]
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> list[tuple[Artifact, str]]:
     if args.profile:
         if args.entropy_bits is not None or args.length is not None:
             raise ValueError("--entropy-bits and --length cannot be used with --profile")
@@ -193,12 +191,10 @@ def _cmd_predict(args) -> int:
         pairs = [(args.length, args.entropy_bits)]
     else:
         raise ValueError("give either --profile or both --entropy-bits and --length")
-    artifact = report.predictions_artifact(pairs, label=args.label)
-    report.write_artifact(artifact, args.format, args.out)
-    return 0
+    return [(report.predictions_artifact(pairs, label=args.label), args.out)]
 
 
-def _cmd_implied(args) -> int:
+def _cmd_implied(args) -> list[tuple[Artifact, str]]:
     if args.histogram:
         given = [flag for flag, on in (
             ("a word list", bool(args.wordlist)), ("--max-length", args.max_length is not None),
@@ -213,20 +209,16 @@ def _cmd_implied(args) -> int:
         _, hist = _wordlist_histogram(args)
     else:
         raise ValueError("give a word list or --histogram")
-    artifact = report.implied_artifact(hist, label=args.label)
-    report.write_artifact(artifact, args.format, args.out)
-    return 0
+    return [(report.implied_artifact(hist, label=args.label), args.out)]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list[tuple[Artifact, str]]:
     cfg = simulate.SimulationConfig(
         p=args.p, symbols=args.symbols, word_target=args.words,
         seed=args.seed, mode=args.mode,
     )
     hist, mean = simulate.length_histogram(cfg, args.max_length)
-    artifact = report.simulation_artifact(cfg, hist, mean)
-    report.write_artifact(artifact, args.format, args.out)
-    return 0
+    return [(report.simulation_artifact(cfg, hist, mean), args.out)]
 
 
 _COMMANDS = {
@@ -251,11 +243,13 @@ def main(argv: list[str] | None = None) -> int:
         max_length = getattr(args, "max_length", None)  # None: implied left it unset
         if max_length is not None and _whole(max_length, "max_length", 1) > _MAX_LENGTH:
             raise ValueError(f"max_length must be <= {_MAX_LENGTH}")
-        return _COMMANDS[args.command](args)
+        for artifact, out in _COMMANDS[args.command](args):
+            report.write_artifact(artifact, args.format, out)
     # InventoryError and TokenizationError are ValueErrors
     except (OSError, ValueError, lengthmodel.FitError) as err:
         print(f"wordlen {args.command}: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

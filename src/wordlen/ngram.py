@@ -90,16 +90,14 @@ def _count_table(sym: np.ndarray, base: int, order: int) -> np.ndarray:
 
 
 def _count_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct int64 codes of the width-``order`` windows of ``sym``,
-    whose symbols lie in 0..base-1, and the int64 count of each."""
+    """Sorted distinct codes of the width-``order`` windows of ``sym``, whose
+    symbols lie in 0..base-1, in the narrowest unsigned dtype that holds
+    base**order - 1, and the int64 count of each."""
     import numpy as np
 
     codes = _window_codes(sym, base, order, np.min_scalar_type(base**order - 1))
     codes.sort()
-    codes, counts = _runs(codes)
-    # widened, so that a marginal's modulus L**n fits even where L**order
-    # fills the narrow dtype
-    return codes.astype(np.int64), counts
+    return _runs(codes)
 
 
 def _distinct_windows(sym: np.ndarray, base: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +122,11 @@ def _entropies(codes: np.ndarray, counts: np.ndarray, base: int,
     pairs = []
     for n in range(order, 0, -1):
         # codes holds each distinct last n symbols, sorted, so its contexts
-        # (codes // L) are sorted too; the order below sorts only these codes
-        pairs.append((_entropy(counts), _entropy(_runs(codes // base, counts)[1])))
+        # (codes // L) are sorted too; the order below sorts only these codes.
+        # The order-1 target has no symbols before it, and L itself need not
+        # fit the dtype of codes below L.
+        context = _entropy(_runs(codes // base, counts)[1]) if n > 1 else 0.0
+        pairs.append((_entropy(counts), context))
         if n > 1:
             codes %= base ** (n - 1)
             by_tail = codes.argsort()
@@ -226,8 +227,6 @@ def entropy_profile(
 
     entropies = [math.log2(base)]
     pairs = _entropies(*_distinct_windows(sym, base, max_order), base, max_order)
-    for order, (joint, context) in enumerate(pairs, 1):
-        # the order-1 target has no symbols before it
-        h = joint - (context if order > 1 else 0.0)
-        entropies.append(min(max(h, 0.0), entropies[-1]))
+    for joint, context in pairs:
+        entropies.append(min(max(joint - context, 0.0), entropies[-1]))
     return EntropyProfile(np.array(entropies), sym.size, base)

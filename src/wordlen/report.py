@@ -90,13 +90,6 @@ class Artifact:
     def to_json(self) -> str:
         return json.dumps(self.payload, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise ValueError("format must be 'csv' or 'json'")
-
 
 def _cell(value, column: str) -> str:
     if value is None:
@@ -118,9 +111,10 @@ def _label_comment(label: str) -> tuple[str, ...]:
     return (f"label={label}",) if label else ()
 
 
-def write_artifact(artifact: Artifact, fmt: str, out: str | Path | None) -> None:
-    text = artifact.render(fmt)
-    if out is None or str(out) == "-":
+def write_artifact(artifact: Artifact, fmt: str, out: str | Path) -> None:
+    """Write ``artifact`` as ``fmt`` ('csv' or 'json') to ``out`` ('-' for stdout)."""
+    text = artifact.to_json() if fmt == "json" else artifact.to_csv()
+    if str(out) == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -170,14 +170,38 @@ class TestFitCommand:
             else:
                 assert row[key] == str(value)
 
-    def test_curve_output(self, model_wordlist, tmp_path):
-        out, curve = tmp_path / "f.csv", tmp_path / "curve.csv"
-        run(["fit", model_wordlist, "--out", out, "--curve-out", curve])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curve_output(self, model_wordlist, tmp_path, fmt):
+        # one --format governs both outputs
+        out, curve = tmp_path / f"f.{fmt}", tmp_path / f"curve.{fmt}"
+        assert run(["fit", model_wordlist, "--format", fmt, "--out", out,
+                    "--curve-out", curve]) == 0
+        if fmt == "json":
+            assert json.loads(out.read_text())["symbols"] == 27
+            curve = json.loads(curve.read_text())
+            assert list(curve) == ["symbols", "p", "reliable_length_limit", "lengths",
+                                   "observed", "expected"]
+            assert curve["lengths"] == list(range(1, 51))
+            assert len(curve["observed"]) == len(curve["expected"]) == 50
+            assert 1 <= curve["reliable_length_limit"] < 50
+            return
+        assert parse_csv(out)[1][:2] == ["label", "symbols"]
         _, header, rows = parse_csv(curve)
         assert header == ["length", "observed", "expected", "reliable"]
         assert len(rows) == 50
         assert rows[0]["reliable"] == "true"
         assert rows[-1]["reliable"] == "false"
+
+    def test_unwritable_curve_fails_in_one_line(self, model_wordlist, tmp_path, capsys):
+        # the report is written first; the curve's destination
+        # then fails like any other output path
+        out = tmp_path / "f.csv"
+        assert run(["fit", model_wordlist, "--out", out,
+                    "--curve-out", tmp_path / "missing" / "c.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and out.is_file()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("wordlen fit: ") and "c.csv" in captured.err
 
     def test_unfittable_wordlist_fails_cleanly(self, tmp_path, capsys):
         wl = tmp_path / "short.txt"

@@ -52,7 +52,8 @@ class TestCounting:
         codes, counts = _count_windows(np.array([0, 1, 0, 2, 0, 1]), 3, 2)
         assert codes.tolist() == [1, 2, 3, 6]
         assert counts.tolist() == [2, 1, 1, 1]
-        assert codes.dtype == counts.dtype == np.int64
+        # codes below 3**2 in the narrowest dtype that holds them
+        assert codes.dtype == np.uint8 and counts.dtype == np.int64
         assert counts.sum() == 5
 
     def test_window_identity(self):
@@ -140,7 +141,9 @@ class TestCounting:
             # no table cell can count more windows than there are tokens
             assert counts.dtype == np.min_scalar_type(size)
         else:
-            assert codes.dtype == counts.dtype == np.int64
+            # sorted in the narrow dtype they were coded in
+            assert codes.dtype == np.min_scalar_type(symbols**order - 1)
+            assert counts.dtype == np.int64
         assert np.all(np.diff(codes) > 0)
         windows = [tuple(int(c) // symbols ** (order - 1 - k) % symbols for k in range(order))
                    for c in codes]
@@ -327,9 +330,11 @@ class TestProfile:
         # 24**2 = 576 <= 1050 < 24**3 = 13824
         assert profile.adequate == (True, True, True, False)
 
-    @pytest.mark.parametrize("symbols, order", [(2, 8), (4, 4), (16, 4), (2, 16)])
+    @pytest.mark.parametrize("symbols, order",
+                             [(2, 8), (4, 4), (16, 4), (2, 16), (65_536, 1)])
     def test_codes_that_fill_their_dtype(self, symbols, order):
-        # L**order is 2**8 or 2**16, one past the largest code of its dtype
+        # L**order is 2**8 or 2**16, one past the largest code of its dtype;
+        # 3000 tokens of 65,536 symbols sort codes whose dtype cannot hold L
         stream = np.random.default_rng(order).integers(0, symbols, 3000)
         profile = entropy_profile(stream, symbols, order)
         for n in range(1, order + 1):
