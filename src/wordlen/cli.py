@@ -28,7 +28,7 @@ from pathlib import Path
 from . import lengthmodel, report, simulate
 from .ingest import load_corpus, load_wordlist, word_length_histogram
 from .inventory import PRESET_NAMES, SymbolInventory, _whole, read_utf8, resolve_inventory
-from .ngram import entropy_profile
+from .ngram import _check_order, entropy_profile
 from .report import Artifact, WordLengthHistogram
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
@@ -136,6 +136,7 @@ def _cmd_histogram(args) -> list[tuple[Artifact, str]]:
 
 
 def _cmd_fit(args) -> list[tuple[Artifact, str]]:
+    report._check_scale_a(args.scale_a)  # before the word list is read
     inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
     artifact = report.fit_artifact(hist, model, label=args.label, scale_a=args.scale_a)
@@ -147,6 +148,7 @@ def _cmd_fit(args) -> list[tuple[Artifact, str]]:
 
 def _cmd_entropy(args) -> list[tuple[Artifact, str]]:
     inv = resolve_inventory(args.inventory)
+    _check_order(args.max_order, inv.symbol_count)  # before the corpus is read
     stream = load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
     profile = entropy_profile(stream, inv, args.max_order)
     if not all(profile.adequate):

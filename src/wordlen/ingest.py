@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 
 # characters per corpus block (the cut falls at the next "\n"), and symbols
 # per slice of a stream's separator check
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 14
 
 
 class TokenizationError(ValueError):
@@ -101,12 +101,12 @@ def _single_forms(symbols: Sequence[str], text: str) -> tuple[list[str], Callabl
 
 def _code_table(forms: Sequence[str]) -> np.ndarray:
     """Code of each character up to the highest of ``forms``: ``forms[i]``
-    codes as ``i``, any other as ``len(forms)``, as does the one cell more
-    that stands for every character past them."""
+    codes as ``i``, any other as the separator, the last form, as does the
+    one cell more that stands for every character past them."""
     import numpy as np
 
-    unknown = len(forms)
-    table = np.full(max(map(ord, forms)) + 2, unknown, dtype=np.min_scalar_type(unknown))
+    table = np.full(max(map(ord, forms)) + 2, len(forms) - 1,
+                    dtype=np.min_scalar_type(len(forms)))
     for i, form in enumerate(forms):
         table[ord(form)] = i
     return table
@@ -131,11 +131,10 @@ def load_wordlist(text: str, inv: SymbolInventory, strict: bool = False) -> list
     words = [w for w in dict.fromkeys(map(str.strip, text.splitlines())) if w and w[0] != "#"]
     # no symbol spans a "\n", so the distinct words are written in one pass
     marked = write("\n".join(words)).split("\n") if write and words else words
-    allowed = set(forms)
-    lengths = [len(m) for m in marked if allowed.issuperset(m)]
+    foreign = re.compile(f"[^{re.escape(''.join(forms))}]").search
+    lengths = [len(m) for m in marked if not foreign(m)]
     if strict and len(lengths) < len(words):
-        word, rest = next((w, m) for w, m in zip(words, marked) if not allowed.issuperset(m))
-        symbol = next(c for c in rest if c not in allowed)
+        word, symbol = next((w, bad[0]) for w, m in zip(words, marked) if (bad := foreign(m)))
         what = "separator" if symbol == inv.separator else f"symbol {symbol!r}"
         line_no = 1 + list(map(str.strip, text.splitlines())).index(word)
         raise TokenizationError(f"{what} not allowed inside a word", line=line_no)
@@ -160,7 +159,9 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
 
     forms, write = _single_forms(inv.symbols, text)
     table = _code_table(forms)
-    unknown, sep = inv.symbol_count, inv.separator_index
+    # str.isspace is exactly what \s matches in a str pattern
+    foreign = re.compile(f"[^{re.escape(''.join(forms))}\\s]").search if strict else None
+    sep = inv.separator_index
     # every token is at least one character, so only text that
     # normalisation lengthened can outgrow this
     out = np.empty(len(text), dtype=table.dtype)
@@ -170,19 +171,16 @@ def load_corpus(text: str, inv: SymbolInventory, strict: bool = False) -> Symbol
         end = len(text) if cut < 0 else cut + 1
         block = inv.normalize(text[start:end])
         block = write(block) if write else block
+        if foreign and (bad := foreign(block)):
+            # lines counted as load_wordlist counts them, over the whole
+            # normalised text: each earlier block ends in "\n", and no
+            # symbol's form is a line break
+            before = inv.normalize(text[:start]) + block[: bad.start() + 1]
+            raise TokenizationError(f"symbol {bad[0]!r} not in inventory",
+                                    line=len(before.splitlines()))
         # numpy holds a str as UCS-4 code points (an empty str as one NUL, but
-        # no block is empty); points past the table clip to its unknown cell
+        # no block is empty); points past the table clip to its last cell
         codes = table.take(np.array([block]).view(np.uint32), mode="clip")
-        if strict:
-            for pos in np.flatnonzero(codes == unknown):
-                if not block[pos].isspace():
-                    # lines counted as load_wordlist counts them, over the
-                    # whole normalised text: each earlier block ends in "\n",
-                    # and no symbol's form is a line break
-                    before = inv.normalize(text[:start]) + block[: pos + 1]
-                    raise TokenizationError(f"symbol {block[pos]!r} not in inventory",
-                                            line=len(before.splitlines()))
-        codes[codes == unknown] = sep
         is_sep = codes == sep
         # a separator is kept only right after a letter; each block but the
         # last ends in "\n", which codes as a separator, so a block's

@@ -194,6 +194,16 @@ class EntropyProfile:
                      for order in range(self.max_order + 1))
 
 
+def _check_order(max_order, symbol_count: int) -> int:
+    """``max_order`` as an int, if it is an integer >= 1 whose windows over
+    ``symbol_count`` symbols fit the int64 window codes."""
+    max_order = _whole(max_order, "max_order", 1)
+    if max_order * math.log2(symbol_count) > _CODE_BITS:
+        raise ValueError(f"order {max_order} over {symbol_count} symbols exceeds int64 "
+                         "window coding")
+    return max_order
+
+
 def entropy_profile(
     stream: SymbolStream | np.ndarray,
     inventory: SymbolInventory | int,
@@ -212,7 +222,6 @@ def entropy_profile(
     """
     import numpy as np
 
-    max_order = _whole(max_order, "max_order", 1)
     count = inventory.symbol_count if isinstance(inventory, SymbolInventory) else inventory
     if isinstance(stream, SymbolStream):
         if stream.alphabet_size != count:
@@ -220,8 +229,7 @@ def entropy_profile(
                              f"an inventory of {count}")
         stream = stream.symbols
     sym, base = _check_symbols(stream, count)
-    if max_order * math.log2(base) > _CODE_BITS:
-        raise ValueError(f"order {max_order} over {base} symbols exceeds int64 window coding")
+    max_order = _check_order(max_order, base)
     if sym.size < max_order:
         raise ValueError(f"stream of {sym.size} symbols is too short for order {max_order}")
 

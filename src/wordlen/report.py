@@ -184,6 +184,12 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     return WordLengthHistogram(vec, max_length, overflow or 0, label=label)
 
 
+def _check_scale_a(scale_a: float) -> None:
+    """Refuse a vocabulary scale constant that is not finite and > 0."""
+    if not 0.0 < scale_a < math.inf:  # also false for NaN
+        raise ValueError(f"scale_a must be finite and > 0, got {scale_a}")
+
+
 def fit_artifact(
     hist: WordLengthHistogram,
     model: lengthmodel.FittedLengthModel,
@@ -197,8 +203,7 @@ def fit_artifact(
     The vocabulary exponent is solved from the observed vocabulary size and
     is omitted when the vocabulary is too small to exceed ``scale_a``.
     """
-    if not 0.0 < scale_a < math.inf:  # also false for NaN
-        raise ValueError(f"scale_a must be finite and > 0, got {scale_a}")
+    _check_scale_a(scale_a)
     symbols, p = model.symbols, model.p
     mean_obs = lengthmodel.observed_mean(hist)
     mean_model = lengthmodel.mean_exact(symbols, p, hist.max_length)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wordlen
-from wordlen import cli, simulate
+from wordlen import cli, lengthmodel, simulate
 from wordlen.cli import main
 from wordlen.report import Artifact, read_histogram_csv
 
@@ -208,6 +208,19 @@ class TestFitCommand:
         wl.write_text("a\nb\n", encoding="utf-8")
         assert run(["fit", wl]) == 1
         assert "nonzero" in capsys.readouterr().err
+
+    def test_trim_tail_drops_the_cells_past_the_longest_word(self, model_wordlist, tmp_path):
+        hist_csv, full, trimmed = tmp_path / "h.csv", tmp_path / "full.json", tmp_path / "t.json"
+        assert run(["histogram", model_wordlist, "--out", hist_csv]) == 0
+        assert run(["fit", model_wordlist, "--format", "json", "--out", full]) == 0
+        assert run(["fit", model_wordlist, "--format", "json", "--trim-tail",
+                    "--out", trimmed]) == 0
+        hist = read_histogram_csv(hist_csv)
+        longest = max(n for n in range(1, 51) if hist.count(n))
+        assert longest == 34  # 16 empty cells to trim
+        full, trimmed = json.loads(full.read_text()), json.loads(trimmed.read_text())
+        assert trimmed["df"] == full["df"] - (50 - longest)
+        assert trimmed["p"] == lengthmodel.fit_p(hist, 27, trim_tail=True).p
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_non_finite_scale_fails_in_one_line(self, model_wordlist, scale):
@@ -694,6 +707,189 @@ def test_implied_and_predict_exact_bytes(tmp_path, capsys, fmt, implied, predict
     assert run(["predict", "--profile", profile, "--label", "demo", "--format", fmt]) == 0
     assert capsys.readouterr().out == predicted
 
+
+# every kind of line a word list holds: a comment, capitals, padding, a blank
+# line, duplicates and words with a symbol outside the inventory; "kitchen"
+# holds the Swahili digraph ch, and "cat" and "vocabulary" a c that Swahili lacks
+WORDLIST = ("# a small fixed list\na\nI\nan\nto\nOn\nthe\ncat\nsat\nmat\nThe\nword\nlist\n"
+            "  tree  \nhouse\nmouse\nhorse\nplanet\nyellow\nbanana\nreading\nkitchen\n"
+            "elephant\nvocabulary\nwonderful\n\ncafé\nx-ray\nwonderful\n")
+HISTOGRAM_BYTES = {
+    ("english", "csv"): """\
+# source=wordlist
+# label=words
+length,count
+1,2
+2,3
+3,4
+4,3
+5,3
+6,3
+7,2
+8,1
+9,1
+10,1
+overflow,0
+""",
+    ("english", "json"): """\
+{
+  "source": "wordlist",
+  "label": "words",
+  "max_length": 10,
+  "counts": [
+    2,
+    3,
+    4,
+    3,
+    3,
+    3,
+    2,
+    1,
+    1,
+    1
+  ],
+  "overflow": 0
+}
+""",
+    ("swahili", "csv"): """\
+# source=wordlist
+# label=words
+length,count
+1,2
+2,3
+3,3
+4,3
+5,3
+6,4
+7,1
+8,1
+9,1
+10,0
+overflow,0
+""",
+    ("swahili", "json"): """\
+{
+  "source": "wordlist",
+  "label": "words",
+  "max_length": 10,
+  "counts": [
+    2,
+    3,
+    3,
+    3,
+    3,
+    4,
+    1,
+    1,
+    1,
+    0
+  ],
+  "overflow": 0
+}
+""",
+}
+FIT_BYTES = {
+    "csv": ("""\
+label,symbols,p,chi_square,df,p_value,mean_observed,mean_model,mean_approx,mean_pct_diff,sd_observed,sd_approx,sd_pct_diff,vocab_observed,scale_a,exponent_b,vocab_approx,reliable_length_limit
+words,27,0.60731776116195,16.496535971293678,8,0.035800095264531026,4.608695652173913,3.1111691786757882,3.3017327939326884,39.58414989374423,2.427006215122237,4.193172792693781,42.12005240158306,23,7.45,0.06710049656255834,22.999999999999993,7.494905586626469
+""", """\
+length,observed,expected,reliable
+1,2,6.401038044208821,true
+2,3,10.372965344632213,true
+3,4,8.159595429115804,true
+4,3,5.010160565899812,true
+5,3,2.9020172395655517,true
+6,3,1.6972456911513492,true
+7,2,1.0198694059396085,true
+8,1,0.6289884637629719,false
+9,1,0.3956909644371043,false
+10,1,0.25228574554822836,false
+"""),
+    "json": ("""\
+{
+  "label": "words",
+  "symbols": 27,
+  "p": 0.60731776116195,
+  "chi_square": 16.496535971293678,
+  "df": 8,
+  "p_value": 0.035800095264531026,
+  "mean_observed": 4.608695652173913,
+  "mean_model": 3.1111691786757882,
+  "mean_approx": 3.3017327939326884,
+  "mean_pct_diff": 39.58414989374423,
+  "sd_observed": 2.427006215122237,
+  "sd_approx": 4.193172792693781,
+  "sd_pct_diff": 42.12005240158306,
+  "vocab_observed": 23,
+  "scale_a": 7.45,
+  "exponent_b": 0.06710049656255834,
+  "vocab_approx": 22.999999999999993,
+  "reliable_length_limit": 7.494905586626469
+}
+""", """\
+{
+  "symbols": 27,
+  "p": 0.60731776116195,
+  "reliable_length_limit": 7.494905586626469,
+  "lengths": [
+    1,
+    2,
+    3,
+    4,
+    5,
+    6,
+    7,
+    8,
+    9,
+    10
+  ],
+  "observed": [
+    2,
+    3,
+    4,
+    3,
+    3,
+    3,
+    2,
+    1,
+    1,
+    1
+  ],
+  "expected": [
+    6.401038044208821,
+    10.372965344632213,
+    8.159595429115804,
+    5.010160565899812,
+    2.9020172395655517,
+    1.6972456911513492,
+    1.0198694059396085,
+    0.6289884637629719,
+    0.3956909644371043,
+    0.25228574554822836
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("preset", ["english", "swahili"])
+def test_histogram_exact_bytes(tmp_path, capsys, preset, fmt):
+    words = tmp_path / "words.txt"
+    words.write_text(WORDLIST, encoding="utf-8")
+    assert run(["histogram", words, "--max-length", 10, "--inventory", preset,
+                "--format", fmt]) == 0
+    assert capsys.readouterr() == (HISTOGRAM_BYTES[preset, fmt], "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_exact_bytes(tmp_path, capsys, fmt):
+    words, curve = tmp_path / "words.txt", tmp_path / f"curve.{fmt}"
+    words.write_text(WORDLIST, encoding="utf-8")
+    assert run(["fit", words, "--max-length", 10, "--format", fmt, "--curve-out", curve]) == 0
+    report, curve_bytes = FIT_BYTES[fmt]
+    assert capsys.readouterr() == (report, "")
+    assert curve.read_bytes() == curve_bytes.encode()
 
 
 ENTROPY_CORPORA = {
@@ -1268,6 +1464,32 @@ def test_max_length_is_checked_before_any_work(monkeypatch, capsys, tmp_path, ar
         assert run([*argv, "--max-length", max_length]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"wordlen {argv[0]}: max_length must be {problem}"]
+
+
+FLAG_PROBLEMS = {
+    # entropy_profile's own rules, over the 27 symbols of the inventory
+    "entropy --max-order 0": "max_order must be >= 1",
+    "entropy --max-order 14": "order 14 over 27 symbols exceeds int64 window coding",
+    # fit_artifact's rule
+    "fit --scale-a 0": "scale_a must be finite and > 0, got 0.0",
+    "fit --scale-a -1": "scale_a must be finite and > 0, got -1.0",
+    "fit --scale-a nan": "scale_a must be finite and > 0, got nan",
+    "fit --scale-a inf": "scale_a must be finite and > 0, got inf",
+}
+
+
+@pytest.mark.parametrize("flags", FLAG_PROBLEMS)
+def test_flags_are_checked_before_the_input_is_read(monkeypatch, capsys, tmp_path, flags):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("input was read before the flags were checked")
+
+    for name in ("read_utf8", "load_wordlist", "load_corpus"):
+        monkeypatch.setattr(cli, name, unreachable)
+    (tmp_path / "input.txt").write_text("a\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    command, *rest = flags.split()
+    assert run([command, "input.txt", *rest]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"wordlen {command}: {FLAG_PROBLEMS[flags]}"]
 
 
 def test_far_max_length_is_refused_in_bounded_memory(tmp_path):

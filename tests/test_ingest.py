@@ -392,6 +392,32 @@ class TestCorpus:
         with pytest.raises(TokenizationError, match="line 1: symbol '😀' not in inventory"):
             load_corpus("a😀b", ENGLISH, strict=True)
 
+    def test_whitespace_class_is_str_isspace(self):
+        # strict mode finds a foreign character with one [^...\s] search, and
+        # \s must match each character that str.isspace accepts, and no other
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+
+    def test_strict_finds_a_late_foreign_character_among_whitespace(self):
+        # tabs, ideographic and no-break spaces are separators in strict
+        # mode; NEL, U+2028 and \x0b also end lines for str.splitlines, so
+        # each piece holds four lines and the é is on line 1201
+        piece = "ab\tcd\u3000ef\u00a0gh\u0085ij  \u2028kl\x0b\n"
+        text = piece * 300 + "mn \u00e9 op\n" + piece * 3
+        message = "line 1201: symbol 'é' not in inventory"
+        with pytest.raises(TokenizationError) as err:
+            greedy_reference(text, ENGLISH, strict=True)
+        assert str(err.value) == message
+        clean = text.replace("\u00e9", " ")
+        want = greedy_reference(clean, ENGLISH, strict=True)
+        for size in (7, 64, 1000, len(text) + 1):
+            with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+                with pytest.raises(TokenizationError) as err:
+                    load_corpus(text, ENGLISH, strict=True)
+                assert (str(err.value), err.value.line) == (message, 1201), size
+                assert load_corpus(clean, ENGLISH, strict=True).symbols.tolist() == want, size
+                assert load_corpus(clean, ENGLISH).symbols.tolist() == want, size
+
     def test_non_bmp_letter(self):
         # the table reaches the letter's code point, with or without a
         # multigraph whose form lies below it
