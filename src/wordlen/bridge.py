@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 
-from .inventory import _whole
+from .inventory import _real, _whole
 
 
 def predicted_distinct_words(entropy_bits: float, length: int) -> float:
     """Number of distinct strings of ``length`` symbols, 2**(N*H)."""
-    if not 0.0 <= entropy_bits < math.inf:  # also false for NaN
-        raise ValueError(f"entropy must be finite and >= 0, got {entropy_bits}")
+    entropy_bits = _real(entropy_bits, "entropy", 0.0)
     length = _whole(length, "length", 1)
     if length * entropy_bits >= 1024.0:  # 2**1024 is past the largest double
         raise ValueError(f"2**({length} * {entropy_bits}) is too large for a double")
@@ -34,8 +33,7 @@ def predicted_distinct_words(entropy_bits: float, length: int) -> float:
 
 def implied_entropy(word_count: float, length: int) -> float:
     """Entropy (bits/symbol) a count of distinct words implies, log2(W)/N."""
-    if not 1.0 <= word_count < math.inf:  # also false for NaN
-        raise ValueError(f"word count must be finite and >= 1, got {word_count}")
+    word_count = _real(word_count, "word count", 1.0)
     length = _whole(length, "length", 1)
     return math.log2(word_count) / length
 
@@ -48,8 +46,7 @@ def entropy_from_p(p: float, symbols: int, order: int) -> float:
     makes this a coarse estimate, and 2**(N * entropy_from_p(p, L, N))
     equals the length model's L**(N p**N) identically.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must lie in (0, 1]")
+    p = _real(p, "p", 0.0, 1.0, "(]")
     _whole(symbols, "symbol count", 2)
     order = _whole(order, "order", 0)
     return p**order * math.log2(symbols)

@@ -106,7 +106,7 @@ def _code_table(forms: Sequence[str]) -> np.ndarray:
     import numpy as np
 
     table = np.full(max(map(ord, forms)) + 2, len(forms) - 1,
-                    dtype=np.min_scalar_type(len(forms)))
+                    dtype=np.min_scalar_type(len(forms) - 1))
     for i, form in enumerate(forms):
         table[ord(form)] = i
     return table
@@ -206,13 +206,8 @@ def word_length_histogram(
     """Histogram of word lengths (each >= 1); lengths beyond max_length overflow."""
     max_length = _whole(max_length, "max_length", 1)
     tally = Counter(lengths)
-    # only the distinct lengths are checked, so a long input pays nothing per
-    # length; Python and numpy integers have __index__, floats do not
-    for n in tally:
-        if not hasattr(n, "__index__"):
-            raise ValueError(f"length {n!r} is not an integer")
-    if min(tally, default=1) < 1:
-        raise ValueError("lengths must be >= 1")
+    for n in tally:  # distinct lengths only, so a long input pays nothing per length
+        _whole(n, "length", 1)
     counts = [tally[n] for n in range(1, max_length + 1)]
     overflow = sum(c for n, c in tally.items() if n > max_length)
     return WordLengthHistogram(counts, max_length, overflow, label=label)

@@ -13,6 +13,8 @@ the conventional symbol counts (English 27, Russian 32, ..., Meroitic 24).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 import unicodedata
 from dataclasses import dataclass, field
@@ -53,6 +55,27 @@ def _whole(value, name: str, least: int) -> int:
     if number < least:
         raise ValueError(f"{name} must be >= {least}")
     return number
+
+
+def _real(value, name: str, low: float, high: float = math.inf, closed: str = "[)") -> float:
+    """``value`` as a float, if it is a real number, Python or numpy, in the
+    interval from ``low`` to ``high`` whose ends ``closed`` marks. Every layer
+    checks its real arguments here, as ``_whole`` checks its whole ones; an
+    int too large for a double reads as an infinity, and NaN is in no interval.
+    """
+    if not isinstance(value, (float, int, numbers.Real)):  # builtins first: the ABC is slow
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = -math.inf if value < 0 else math.inf
+    if (low <= x if closed[0] == "[" else low < x) and (x <= high if closed[1] == "]" else x < high):
+        return x
+    if closed[1] == ")" and high == math.inf:
+        bound = f"finite and {'>=' if closed[0] == '[' else '>'} {low:g}"
+    else:
+        bound = f"in {closed[0]}{low:g}, {high:g}{closed[1]}"
+    raise ValueError(f"{name} must be {bound}, got {x}")
 
 
 @dataclass(frozen=True)

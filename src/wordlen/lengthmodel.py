@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .inventory import _whole
+from .inventory import _real, _whole
 
 if TYPE_CHECKING:
     from .report import WordLengthHistogram
@@ -46,14 +46,9 @@ class FitError(RuntimeError):
     """The chi-square objective could not be minimized on the search range."""
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 < p < 1.0:  # also false for NaN
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-
-
 def _check_domain(symbols: int, p: float, least: int = 2) -> None:
     _whole(symbols, "symbol count", least)
-    _check_p(p)
+    _real(p, "p", 0.0, 1.0, "()")
 
 
 def model_count(symbols: int, p: float, length: int) -> float:
@@ -89,7 +84,10 @@ def chi_square_stat(observed: Sequence[float], expected: Sequence[float]) -> flo
     if min(expected, default=0.0) < 0.0:
         raise ValueError("negative expected count")
     floored = [max(e, EXPECTED_FLOOR) for e in expected]
-    return math.fsum((o - e) * (o - e) / e for o, e in zip(observed, floored))
+    stat = math.fsum((o - e) * (o - e) / e for o, e in zip(observed, floored))
+    if stat != stat:  # a NaN count, or an infinite expected one
+        raise ValueError("a count is NaN, or an expected count infinite")
+    return stat
 
 
 def chi_square_p_value(stat: float, df: int) -> float:
@@ -106,10 +104,8 @@ def chi_square_p_value(stat: float, df: int) -> float:
     negligible. The finite sum alone rounds to just under 1 near x = 0,
     which is why small x takes the lower-tail series.
     """
-    if not stat >= 0.0:  # also true for NaN
-        raise ValueError(f"statistic must be non-negative, got {stat}")
-    if df < 1 or not float(df).is_integer():
-        raise ValueError(f"df must be a whole number >= 1, got {df}")
+    stat = _real(stat, "stat", 0.0, math.inf, "[]")
+    df = _whole(df, "df", 1)
     a, x = df / 2.0, stat / 2.0
     if x == 0.0:
         return 1.0
@@ -144,11 +140,8 @@ class FittedLengthModel:
     def __post_init__(self) -> None:
         _check_domain(self.symbols, self.p)
         object.__setattr__(self, "df", _whole(self.df, "df", 1))
-        # written so that NaN fails them too
-        if not 0.0 <= self.chi_square < math.inf:
-            raise ValueError(f"chi_square must be in [0, inf), got {self.chi_square}")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p_value must be in [0, 1], got {self.p_value}")
+        object.__setattr__(self, "chi_square", _real(self.chi_square, "chi_square", 0.0))
+        object.__setattr__(self, "p_value", _real(self.p_value, "p_value", 0.0, 1.0, "[]"))
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:
@@ -223,22 +216,21 @@ def mean_exact(symbols: int, p: float, max_length: int) -> float:
 
 def mean_approx(p: float) -> float:
     """Closed-form mean word length, -1 / (p ln p)."""
-    _check_p(p)
+    p = _real(p, "p", 0.0, 1.0, "()")
     return -1.0 / (p * math.log(p))
 
 
 def stddev_approx(p: float) -> float:
     """Closed-form word-length standard deviation, 1 / (p (1-p))."""
-    _check_p(p)
+    p = _real(p, "p", 0.0, 1.0, "()")
     return 1.0 / (p * (1.0 - p))
 
 
 def vocab_total_approx(symbols: int, p: float, scale_a: float, exponent_b: float) -> float:
     """Closed-form vocabulary size A * L**(b * ln L * p/(1-p))."""
     _check_domain(symbols, p)
-    if not (0.0 < scale_a < math.inf and 0.0 <= exponent_b < math.inf):  # false for NaN
-        raise ValueError("scale_a must be finite and > 0 and exponent_b finite and >= 0, "
-                         f"got scale_a={scale_a}, exponent_b={exponent_b}")
+    scale_a = _real(scale_a, "scale_a", 0.0, closed="()")
+    exponent_b = _real(exponent_b, "exponent_b", 0.0)
     log_l = math.log(symbols)
     try:
         total = scale_a * float(symbols) ** (exponent_b * log_l * p / (1.0 - p))
@@ -257,9 +249,8 @@ def solve_b(symbols: int, p: float, scale_a: float, vocab_observed: float) -> fl
     b = ln(V/A) / (ln(L)^2 * p/(1-p)).
     """
     _check_domain(symbols, p)
-    if not 0.0 < scale_a < vocab_observed < math.inf:  # false for NaN
-        raise ValueError("a positive b needs 0 < scale_a < vocab_observed < inf, "
-                         f"got scale_a={scale_a}, vocab_observed={vocab_observed}")
+    scale_a = _real(scale_a, "scale_a", 0.0, closed="()")
+    vocab_observed = _real(vocab_observed, "vocab_observed", scale_a, closed="()")
     log_l = math.log(symbols)
     return math.log(vocab_observed / scale_a) / (log_l * log_l * p / (1.0 - p))
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bridge, lengthmodel
-from .inventory import _whole, read_utf8
+from .inventory import _real, _whole, read_utf8
 
 if TYPE_CHECKING:
     from .ngram import EntropyProfile
@@ -186,8 +185,7 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
 
 def _check_scale_a(scale_a: float) -> None:
     """Refuse a vocabulary scale constant that is not finite and > 0."""
-    if not 0.0 < scale_a < math.inf:  # also false for NaN
-        raise ValueError(f"scale_a must be finite and > 0, got {scale_a}")
+    _real(scale_a, "scale_a", 0.0, closed="()")
 
 
 def fit_artifact(
@@ -309,12 +307,7 @@ def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
         if type(bits) not in (int, float):
             raise ValueError(f"{path}: order {order}: entropy must be a number, "
                              f"got {json.dumps(bits)}")
-        try:
-            bits = float(bits)
-        except OverflowError:  # an integer past the largest double
-            bits = math.inf
-        if not 0.0 <= bits < math.inf:  # also false for NaN
-            raise ValueError(f"{path}: order {order}: entropy must be finite and >= 0, got {bits}")
+        bits = _real(bits, f"{path}: order {order}: entropy", 0.0)
         adequate = entry.get("adequate", False)
         if not isinstance(adequate, bool):
             raise ValueError(f"{path}: order {order}: adequate must be true or false, "
@@ -373,7 +366,7 @@ def simulation_artifact(
             # token mean of the bag process vs the fitted model's
             # distinct-word mean: related but deliberately not reconciled
             "token_mean_analytic": 1.0 / (1.0 - cfg.p),
-            "distinct_word_mean_model": -1.0 / (cfg.p * math.log(cfg.p)),
+            "distinct_word_mean_model": lengthmodel.mean_approx(cfg.p),
         }
     )
     return Artifact(payload, base.comments, base.header, base.rows)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .inventory import _whole
+from .inventory import _real, _whole
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -53,8 +53,7 @@ class SimulationConfig:
     mode: str = "forced_first_letter"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly between 0 and 1")
+        object.__setattr__(self, "p", _real(self.p, "p", 0.0, 1.0, "()"))
         # numpy integers pass and are stored as ints
         for field, name, least in (("symbols", "symbol count", 2), ("word_target", "word_target", 1),
                                    ("seed", "seed", 0)):

@@ -203,6 +203,25 @@ class TestFitCommand:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("wordlen fit: ") and "c.csv" in captured.err
 
+    def test_vocabulary_not_above_the_scale_leaves_the_exponent_empty(self, model_wordlist,
+                                                                      tmp_path):
+        # no positive b reproduces a vocabulary at or below scale_a
+        out = tmp_path / "f.json"
+        assert run(["fit", model_wordlist, "--scale-a", "1e6", "--format", "json",
+                    "--out", out]) == 0
+        vocab = json.loads(out.read_text())["vocab_observed"]
+        assert vocab < 1e6
+        for scale in ("1e6", str(vocab)):
+            assert run(["fit", model_wordlist, "--scale-a", scale, "--format", "json",
+                        "--out", out]) == 0
+            rep = json.loads(out.read_text())
+            assert (rep["scale_a"], rep["exponent_b"], rep["vocab_approx"]) == (
+                float(scale), None, None)
+            assert run(["fit", model_wordlist, "--scale-a", scale, "--out", out]) == 0
+            row = parse_csv(out)[2][0]
+            assert (row["scale_a"], row["exponent_b"], row["vocab_approx"]) == (
+                repr(float(scale)), "", "")
+
     def test_unfittable_wordlist_fails_cleanly(self, tmp_path, capsys):
         wl = tmp_path / "short.txt"
         wl.write_text("a\nb\n", encoding="utf-8")
@@ -517,6 +536,22 @@ class TestPredictCommand:
         assert captured.err.splitlines() == [
             f"wordlen predict: {problem.format(profile=profile_0_to_3)}"]
 
+    def test_profile_without_a_word_length_order(self, tmp_path, capsys):
+        # orders 2 and 3 are asked for by default, and order 0 is no word length
+        profile = tmp_path / "p.json"
+        profile.write_text('{"orders": [{"order": 0, "entropy_bits": 4.75}]}', encoding="utf-8")
+        assert run(["predict", "--profile", profile]) == 1
+        assert capsys.readouterr() == (
+            "", "wordlen predict: profile has no entries for the requested orders\n")
+
+    @pytest.mark.parametrize("body", ['{"profile": []}', "[1, 2]"], ids=["no-orders", "list"])
+    def test_refuses_a_file_that_is_no_profile(self, tmp_path, capsys, body):
+        profile = tmp_path / "p.json"
+        profile.write_text(body, encoding="utf-8")
+        assert run(["predict", "--profile", profile]) == 1
+        assert capsys.readouterr() == (
+            "", f"wordlen predict: {profile}: not an entropy profile file\n")
+
     def test_orders_need_a_profile(self, capsys):
         assert run(["predict", "--orders", "2", "--entropy-bits", "3", "--length", "2"]) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -594,6 +629,12 @@ class TestImpliedCommand:
         assert run(["implied", "--histogram", missing, *flags]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"wordlen implied: {named} cannot be used with --histogram"]
+
+    def test_histogram_without_rows(self, tmp_path, capsys):
+        hist = tmp_path / "h.csv"
+        hist.write_text("# source=wordlist\nlength,count\n", encoding="utf-8")
+        assert run(["implied", "--histogram", hist]) == 1
+        assert capsys.readouterr() == ("", f"wordlen implied: {hist}: no histogram rows found\n")
 
     def test_byte_order_mark_histogram(self, tmp_path):
         hist = tmp_path / "h.csv"
@@ -1283,6 +1324,10 @@ class TestSimulateCommand:
     def test_bad_seed_is_refused_in_one_line(self, capsys):
         assert run(["simulate", "--p", "0.5", "--symbols", "27", "--seed", "-1"]) == 1
         assert capsys.readouterr() == ("", "wordlen simulate: seed must be >= 0\n")
+
+    def test_bad_p_is_refused_in_one_line(self, capsys):
+        assert run(["simulate", "--p", "2", "--symbols", "27"]) == 1
+        assert capsys.readouterr() == ("", "wordlen simulate: p must be in (0, 1), got 2.0\n")
 
 
 class TestInventoryOption:

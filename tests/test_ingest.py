@@ -470,6 +470,17 @@ class TestCorpus:
         wide = entropy_profile(stream.symbols.astype(np.int64), ENGLISH, 2)
         assert np.array_equal(profile.entropies, wide.entropies)
 
+    @pytest.mark.parametrize("letters, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_stream_type_holds_the_largest_index(self, letters, dtype):
+        # 255 letters and the separator are indices 0..255, which uint8
+        # holds; the stream used to take uint16 there
+        inv = SymbolInventory([chr(0x4E00 + i) for i in range(letters)])
+        stream = load_corpus("".join(inv.letters) + " " + inv.letters[-1], inv)
+        assert stream.symbols.dtype == dtype
+        assert stream.symbols.tolist() == [*range(letters), letters, letters - 1]
+        wide = entropy_profile(stream.symbols.astype(np.int64), inv, 2)
+        assert np.array_equal(entropy_profile(stream, inv, 2).entropies, wide.entropies)
+
     def test_stream_validation(self):
         # the separator check runs in slices; a pair may straddle any cut
         for size in (1, 2, 3, 1 << 16):
@@ -607,7 +618,8 @@ class TestHistogram:
     @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "3"])
     def test_lengths_must_be_integers(self, bad):
         # 1.5 used to land in no cell, a total of 2 for 3 lengths
-        with pytest.raises(ValueError, match=re.escape(f"length {bad!r} is not an integer")):
+        message = f"length must be an integer, not {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             word_length_histogram([bad, 2, 60], 50)
 
     def test_rejects_bad_max_length(self):

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +10,7 @@ from wordlen.inventory import (
     PRESET_NAMES,
     InventoryError,
     SymbolInventory,
+    _real,
     load_inventory_file,
     preset_inventory,
     resolve_inventory,
@@ -134,3 +138,35 @@ def test_resolve_inventory_prefers_presets():
     assert resolve_inventory("english").symbol_count == 27
     with pytest.raises(InventoryError, match="neither"):
         resolve_inventory("no-such-thing.json")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("0.5", "p", 0.0, 1.0, "()"), "p must be a number, not '0.5'"),
+    ((None, "entropy", 0.0), "entropy must be a number, not None"),
+    ((0, "scale_a", 0.0, math.inf, "()"), "scale_a must be finite and > 0, got 0.0"),
+    ((-1, "entropy", 0.0), "entropy must be finite and >= 0, got -1.0"),
+    ((math.inf, "entropy", 0.0), "entropy must be finite and >= 0, got inf"),
+    ((10**400, "entropy", 0.0), "entropy must be finite and >= 0, got inf"),
+    ((7.0, "vocab_observed", 7.45, math.inf, "()"),
+     "vocab_observed must be finite and > 7.45, got 7.0"),
+    ((-10**400, "stat", 0.0, math.inf, "[]"), "stat must be in [0, inf], got -inf"),
+    ((math.nan, "stat", 0.0, math.inf, "[]"), "stat must be in [0, inf], got nan"),
+    ((1.5, "p_value", 0.0, 1.0, "[]"), "p_value must be in [0, 1], got 1.5"),
+    ((1, "p", 0.0, 1.0, "()"), "p must be in (0, 1), got 1.0"),
+    ((0.0, "p", 0.0, 1.0, "(]"), "p must be in (0, 1], got 0.0"),
+])
+def test_real_names_the_argument_and_its_interval(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _real(*args)
+
+
+@pytest.mark.parametrize("args, want", [
+    ((0, "p_value", 0.0, 1.0, "[]"), 0.0),
+    ((True, "p_value", 0.0, 1.0, "[]"), 1.0),
+    ((Fraction(1, 2), "p", 0.0, 1.0, "()"), 0.5),
+    ((10**400, "stat", 0.0, math.inf, "[]"), math.inf),
+    ((7.5, "vocab_observed", 7.45, math.inf, "()"), 7.5),
+])
+def test_real_returns_a_float(args, want):
+    got = _real(*args)
+    assert type(got) is float and got == want

@@ -127,6 +127,17 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             lm.chi_square_stat([1], [-2.0])
 
+    @pytest.mark.parametrize("observed, expected", [
+        ([math.nan, 2.0], [1.0, 1.0]),
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([1.0, 2.0], [1.0, math.nan]),
+        ([1.0, 2.0], [math.inf, 1.0]),
+    ])
+    def test_nan_cells_are_refused(self, observed, expected):
+        # each of these used to return nan
+        with pytest.raises(ValueError, match="^a count is NaN, or an expected count infinite$"):
+            lm.chi_square_stat(observed, expected)
+
     def test_p_value_endpoints(self):
         assert lm.chi_square_p_value(0.0, 48) == 1.0
         assert lm.chi_square_p_value(2000.0, 48) == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +174,7 @@ class TestChiSquare:
             lm.chi_square_p_value(-1.0, 5)
         with pytest.raises(ValueError):
             lm.chi_square_p_value(1.0, 0)
-        with pytest.raises(ValueError, match="whole number"):
+        with pytest.raises(ValueError, match="^df must be an integer, not 48.5$"):
             lm.chi_square_p_value(1.0, 48.5)
 
 
@@ -213,8 +224,8 @@ class TestFit:
         (3.0, 2.5, 0.5, "df must be an integer, not 2.5"),
         (3.0, 3.0, 0.5, "df must be an integer, not 3.0"),
         (3.0, 0, 0.5, "df must be >= 1"),
-        (math.nan, 3, 0.5, "chi_square must be in [0, inf), got nan"),
-        (math.inf, 3, 0.0, "chi_square must be in [0, inf), got inf"),
+        (math.nan, 3, 0.5, "chi_square must be finite and >= 0, got nan"),
+        (math.inf, 3, 0.0, "chi_square must be finite and >= 0, got inf"),
         (3.0, 3, math.nan, "p_value must be in [0, 1], got nan"),
         (3.0, 3, 1.5, "p_value must be in [0, 1], got 1.5"),
         (3.0, 3, -0.1, "p_value must be in [0, 1], got -0.1"),
@@ -398,27 +409,28 @@ class TestObservedStats:
 
 
 # every float argument of the exported formulas: (function, valid arguments,
-# position of the float one)
+# position of the float one, its name in messages)
 FLOAT_ARGUMENTS = [
-    (wordlen.model_count, (27, 0.883, 3), 1),
-    (wordlen.mean_approx, (0.883,), 0),
-    (wordlen.stddev_approx, (0.883,), 0),
-    (wordlen.mean_exact, (27, 0.883, 50), 1),
-    *((wordlen.vocab_total_approx, (27, 0.883, 7.45, 0.118), i) for i in (1, 2, 3)),
-    *((wordlen.solve_b, (27, 0.883, 7.45, 118_619.0), i) for i in (1, 2, 3)),
-    (wordlen.longest_word_estimate, (27, 0.883), 1),
-    (wordlen.chi_square_p_value, (3.0, 4), 0),
-    (wordlen.predicted_distinct_words, (3.3, 4), 0),
-    (wordlen.implied_entropy, (118_619.0, 4), 0),
-    (wordlen.entropy_from_p, (0.883, 27, 2), 0),
+    (wordlen.model_count, (27, 0.883, 3), 1, "p"),
+    (wordlen.mean_approx, (0.883,), 0, "p"),
+    (wordlen.stddev_approx, (0.883,), 0, "p"),
+    (wordlen.mean_exact, (27, 0.883, 50), 1, "p"),
+    *((wordlen.vocab_total_approx, (27, 0.883, 7.45, 0.118), i, name)
+      for i, name in ((1, "p"), (2, "scale_a"), (3, "exponent_b"))),
+    *((wordlen.solve_b, (27, 0.883, 7.45, 118_619.0), i, name)
+      for i, name in ((1, "p"), (2, "scale_a"), (3, "vocab_observed"))),
+    (wordlen.longest_word_estimate, (27, 0.883), 1, "p"),
+    (wordlen.chi_square_p_value, (3.0, 4), 0, "stat"),
+    (wordlen.predicted_distinct_words, (3.3, 4), 0, "entropy"),
+    (wordlen.implied_entropy, (118_619.0, 4), 0, "word count"),
+    (wordlen.entropy_from_p, (0.883, 27, 2), 0, "p"),
 ]
+FLOAT_IDS = [f"{fn.__name__}-{position}" for fn, _, position, _ in FLOAT_ARGUMENTS]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "fn, args, position", FLOAT_ARGUMENTS,
-    ids=[f"{fn.__name__}-{position}" for fn, _, position in FLOAT_ARGUMENTS])
-def test_non_finite_float_arguments_raise(fn, args, position, value):
+@pytest.mark.parametrize("fn, args, position, name", FLOAT_ARGUMENTS, ids=FLOAT_IDS)
+def test_non_finite_float_arguments_raise(fn, args, position, name, value):
     # vocab_total_approx, solve_b, chi_square_p_value and implied_entropy
     # used to return NaN or inf for some of these
     assert math.isfinite(fn(*args))
@@ -426,8 +438,29 @@ def test_non_finite_float_arguments_raise(fn, args, position, value):
     if fn is wordlen.chi_square_p_value and value == math.inf:
         assert fn(*bad) == 0.0  # the documented upper-tail limit
         return
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be .*, got {value}$"):
         fn(*bad)
+
+
+@pytest.mark.parametrize("value", ["0.5", None])
+@pytest.mark.parametrize("fn, args, position, name", FLOAT_ARGUMENTS, ids=FLOAT_IDS)
+def test_float_arguments_must_be_numbers(fn, args, position, name, value):
+    # a string used to raise a bare TypeError, where _whole refuses "3"
+    # with a ValueError that names the argument
+    bad = (*args[:position], value, *args[position + 1:])
+    message = f"{name} must be a number, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*bad)
+
+
+def test_float_arguments_are_read_as_doubles():
+    # numpy floats and ints pass as the doubles they equal; an int past the
+    # largest double reads as an infinity, which every finite range refuses
+    assert wordlen.mean_approx(np.float32(0.5)) == wordlen.mean_approx(0.5)
+    assert wordlen.implied_entropy(np.int64(1024), 2) == wordlen.implied_entropy(1024.0, 2) == 5.0
+    assert wordlen.chi_square_p_value(10**400, 4) == 0.0
+    with pytest.raises(ValueError, match="^word count must be finite and >= 1, got inf$"):
+        wordlen.implied_entropy(10**400, 2)
 
 
 # every whole-number argument the package checks: (function, valid
@@ -446,6 +479,7 @@ SYMBOL_COUNT_ARGUMENTS = [
     (wordlen.entropy_profile, (np.random.default_rng(5).integers(0, 27, 2000), 27, 3), 2,
      "max_order"),
     (wordlen.model_histogram, (27, 0.883, 50), 2, "max_length"),
+    (wordlen.chi_square_p_value, (3.0, 4), 1, "df"),
     (wordlen.word_length_histogram, ([1, 2, 2, 7, 60], 50), 1, "max_length"),
     (simulate.length_histogram, (wordlen.SimulationConfig(0.8, 27, 1000, 1), 50), 1, "max_length"),
 ]

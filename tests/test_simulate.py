@@ -94,6 +94,21 @@ class TestDrawLengths:
         assert [type(x) for x in (cfg.symbols, cfg.word_target, cfg.seed)] == [int] * 3
         assert cfg == SimulationConfig(0.5, 27, 10, 1)
 
+    @pytest.mark.parametrize("value, message", [
+        # a string used to raise a bare TypeError
+        ("0.5", "p must be a number, not '0.5'"),
+        (None, "p must be a number, not None"),
+        (1, "p must be in (0, 1), got 1.0"),
+        (math.nan, "p must be in (0, 1), got nan"),
+    ])
+    def test_p_is_checked_where_the_config_is_made(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(value, 27, 10, 1)
+
+    def test_numpy_p_is_stored_as_a_float(self):
+        cfg = SimulationConfig(np.float32(0.5), 27, 10, 1)
+        assert type(cfg.p) is float and cfg == SimulationConfig(0.5, 27, 10, 1)
+
 
     @pytest.mark.parametrize("p, words, mode, trials", [
         (1e-6, 1000, "reject_empty", "1e+09"),
