@@ -27,7 +27,8 @@ from pathlib import Path
 
 from . import lengthmodel, report, simulate
 from .ingest import load_corpus, load_wordlist, word_length_histogram
-from .inventory import PRESET_NAMES, SymbolInventory, _whole, read_utf8, resolve_inventory
+from .inventory import (PRESET_NAMES, SymbolInventory, _read_whole, _whole, read_utf8,
+                        resolve_inventory)
 from .ngram import _check_order, entropy_profile
 from .report import Artifact, WordLengthHistogram
 
@@ -163,14 +164,8 @@ def _cmd_predict(args) -> list[tuple[Artifact, str]]:
     if args.profile:
         if args.entropy_bits is not None or args.length is not None:
             raise ValueError("--entropy-bits and --length cannot be used with --profile")
-        wanted = set()
-        for x in filter(str.strip, (args.orders or "").split(",")):
-            try:
-                wanted.add(int(x))
-            except ValueError:
-                raise ValueError(f"--orders: {x.strip()!r} is not a whole number") from None
-        if min(wanted, default=1) < 1:
-            raise ValueError(f"--orders: {min(wanted)} is not a word length; orders start at 1")
+        wanted = {_read_whole(x.strip(), "--orders", 1)
+                  for x in filter(str.strip, (args.orders or "").split(","))}
         entries = report.read_profile_json(args.profile)
         held = [order for order, _, _ in entries]
         if args.orders is None:

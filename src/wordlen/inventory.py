@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,16 +46,26 @@ def _whole(value, name: str, least: int) -> int:
     """``value`` as an int, if it is an integer >= ``least``.
 
     Every layer checks its counts, lengths and orders here.
-    Python and numpy integers pass; floats, whole ones included, and
-    strings do not.
+    Python and numpy integers pass; floats, whole ones included, bools
+    and strings do not.
     """
-    try:
-        number = operator.index(value)
+    try:  # a bool indexes as 0 or 1, but is no number of anything
+        number = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
     if number < least:
         raise ValueError(f"{name} must be >= {least}")
     return number
+
+
+def _read_whole(text: str, name: str, least: int) -> int:
+    """``_whole`` of a text cell of ASCII digits; any other text is refused."""
+    try:  # int() alone would also read a sign, underscores and other scripts' digits
+        number = int(text) if text.isascii() and text.isdigit() else text
+    except ValueError:  # past the interpreter's limit on digits read
+        raise ValueError(f"{name} must have at most {sys.get_int_max_str_digits()} digits, "
+                         f"not {len(text)}") from None
+    return _whole(number, name, least)
 
 
 def _real(value, name: str, low: float, high: float = math.inf, closed: str = "[)") -> float:
@@ -63,7 +74,8 @@ def _real(value, name: str, low: float, high: float = math.inf, closed: str = "[
     checks its real arguments here, as ``_whole`` checks its whole ones; an
     int too large for a double reads as an infinity, and NaN is in no interval.
     """
-    if not isinstance(value, (float, int, numbers.Real)):  # builtins first: the ABC is slow
+    # builtins first: the ABC is slow; a bool is refused, as np.bool_ is
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a number, not {value!r}")
     try:
         x = float(value)
@@ -71,10 +83,11 @@ def _real(value, name: str, low: float, high: float = math.inf, closed: str = "[
         x = -math.inf if value < 0 else math.inf
     if (low <= x if closed[0] == "[" else low < x) and (x <= high if closed[1] == "]" else x < high):
         return x
+    lo, hi = (f"{e:g}" if float(f"{e:g}") == e else repr(e) for e in (low, high))  # exact ends
     if closed[1] == ")" and high == math.inf:
-        bound = f"finite and {'>=' if closed[0] == '[' else '>'} {low:g}"
+        bound = f"finite and {'>=' if closed[0] == '[' else '>'} {lo}"
     else:
-        bound = f"in {closed[0]}{low:g}, {high:g}{closed[1]}"
+        bound = f"in {closed[0]}{lo}, {hi}{closed[1]}"
     raise ValueError(f"{name} must be {bound}, got {x}")
 
 
@@ -194,9 +207,10 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
 
         {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true}
     """
+    text = read_utf8(path)
     try:
-        raw = json.loads(read_utf8(path))
-    except json.JSONDecodeError as err:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as err:  # also too many digits, or nesting too deep
         raise InventoryError(f"{path}: not JSON: {err}") from None
     if not isinstance(raw, dict) or "letters" not in raw:
         raise InventoryError(f"{path}: expected an object with a 'letters' list")

@@ -57,19 +57,23 @@ def model_count(symbols: int, p: float, length: int) -> float:
     Raises ValueError when the count passes the largest float.
     """
     _check_domain(symbols, p)
-    length = _whole(length, "length", 1)
+    return _count(symbols, p, _whole(length, "length", 1))
+
+
+def model_histogram(symbols: int, p: float, max_length: int) -> list[float]:
+    """Model counts for lengths 1..max_length."""
+    max_length = _whole(max_length, "max_length", 1)
+    _check_domain(symbols, p)
+    return [_count(symbols, p, n) for n in range(1, max_length + 1)]
+
+
+def _count(symbols: int, p: float, length: int) -> float:  # arguments already checked
     try:
         count = float(symbols) ** (length * p**length)
     except OverflowError:
         raise ValueError(f"model count at symbols={symbols}, p={p}, length={length} "
                          "exceeds the largest float") from None
     return max(count - 1.0, 0.0)
-
-
-def model_histogram(symbols: int, p: float, max_length: int) -> list[float]:
-    """Model counts for lengths 1..max_length."""
-    max_length = _whole(max_length, "max_length", 1)
-    return [model_count(symbols, p, n) for n in range(1, max_length + 1)]
 
 
 def chi_square_stat(observed: Sequence[float], expected: Sequence[float]) -> float:

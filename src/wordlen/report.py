@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bridge, lengthmodel
-from .inventory import _real, _whole, read_utf8
+from .inventory import _read_whole, _real, _whole, read_utf8
 
 if TYPE_CHECKING:
     from .ngram import EntropyProfile
@@ -141,10 +141,9 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     most once.
     """
     label = ""
-    counts: dict[int, int] = {}
-    overflow = None
+    counts: dict[int | None, int] = {}  # the overflow count at None
     text = read_utf8(path)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -154,25 +153,15 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
             if flag.startswith("label="):
                 label = flag[len("label="):]
             continue
-        first, _, rest = line.partition(",")
+        first, _, rest = (cell.strip() for cell in line.partition(","))
         if first == "length":
             continue
-        try:
-            length = None if first == "overflow" else int(first)
-            count = int(rest)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: cannot read {line!r}") from None
-        if count < 0:
-            raise ValueError(f"{path}: line {line_no}: negative count {count}")
-        if length is None:
-            if overflow is not None:
-                raise ValueError(f"{path}: line {line_no}: overflow is listed twice")
-            overflow = count
-            continue
-        if length < 1 or length in counts:
-            problem = "is listed twice" if length in counts else "is not a length >= 1"
-            raise ValueError(f"{path}: length {length} {problem}")
-        counts[length] = count
+        length = None if first == "overflow" else _read_whole(first, f"{path}: line {n}: length", 1)
+        if length in counts:
+            raise ValueError(f"{path}: line {n}: overflow is listed twice" if length is None
+                             else f"{path}: length {length} is listed twice")
+        counts[length] = _read_whole(rest, f"{path}: line {n}: count", 0)
+    overflow = counts.pop(None, 0)
     if not counts:
         raise ValueError(f"{path}: no histogram rows found")
     max_length = max(counts)
@@ -180,7 +169,7 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
         gap = next(n for n in range(1, max_length + 1) if n not in counts)
         raise ValueError(f"{path}: length {gap} has no row")
     vec = [counts[n] for n in range(1, max_length + 1)]
-    return WordLengthHistogram(vec, max_length, overflow or 0, label=label)
+    return WordLengthHistogram(vec, max_length, overflow, label=label)
 
 
 def _check_scale_a(scale_a: float) -> None:
@@ -288,9 +277,10 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
 
 def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
     """(order, entropy, adequate or None) entries of a saved entropy-profile JSON."""
+    text = read_utf8(path)
     try:
-        raw = json.loads(read_utf8(path))
-    except json.JSONDecodeError as err:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as err:  # also too many digits, or nesting too deep
         raise ValueError(f"{path}: not JSON: {err}") from None
     try:
         fields = [(o["order"], o["entropy_bits"], o) for o in raw["orders"]]
@@ -298,15 +288,10 @@ def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
         raise ValueError(f"{path}: not an entropy profile file") from err
     entries, seen = [], set()
     for k, (order, bits, entry) in enumerate(fields, start=1):
-        # JSON true loads as a Python int, but is neither an order nor an entropy
-        if type(order) is not int:
-            raise ValueError(f"{path}: entry {k}: order must be an integer, got {json.dumps(order)}")
+        order = _whole(order, f"{path}: entry {k}: order", 0)
         if order in seen:
             raise ValueError(f"{path}: order {order}: listed twice")
         seen.add(order)
-        if type(bits) not in (int, float):
-            raise ValueError(f"{path}: order {order}: entropy must be a number, "
-                             f"got {json.dumps(bits)}")
         bits = _real(bits, f"{path}: order {order}: entropy", 0.0)
         adequate = entry.get("adequate", False)
         if not isinstance(adequate, bool):

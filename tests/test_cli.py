@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import pytest
 import wordlen
 from wordlen import cli, lengthmodel, simulate
 from wordlen.cli import main
-from wordlen.report import Artifact, read_histogram_csv
+from wordlen.report import Artifact, WordLengthHistogram, read_histogram_csv
 
 SRC = str(Path(wordlen.__file__).resolve().parents[1])
 # read when numpy loads; a child sees them only where a test sets them
@@ -471,11 +472,11 @@ class TestPredictCommand:
          "order 2: adequate must be true or false, got 1"),
         ('{"order": 2, "entropy_bits": 3.5, "adequate": null}',
          "order 2: adequate must be true or false, got null"),
-        ('{"order": 2.7, "entropy_bits": 3.0}', "entry 1: order must be an integer, got 2.7"),
+        ('{"order": 2.7, "entropy_bits": 3.0}', "entry 1: order must be an integer, not 2.7"),
         ('{"order": 2, "entropy_bits": 3.5}, {"order": true, "entropy_bits": 3.0}',
-         "entry 2: order must be an integer, got true"),
-        ('{"order": 2, "entropy_bits": "4.5"}', 'order 2: entropy must be a number, got "4.5"'),
-        ('{"order": 2, "entropy_bits": false}', "order 2: entropy must be a number, got false"),
+         "entry 2: order must be an integer, not True"),
+        ('{"order": 2, "entropy_bits": "4.5"}', "order 2: entropy must be a number, not '4.5'"),
+        ('{"order": 2, "entropy_bits": false}', "order 2: entropy must be a number, not False"),
         ('{"order": 2, "entropy_bits": 1' + "0" * 400 + "}",
          "order 2: entropy must be finite and >= 0, got inf"),
     ], ids=["repeated-order", "adequate-string", "adequate-number", "adequate-null",
@@ -492,7 +493,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("body, problem", [
         ('{"orders": [', "not JSON: Expecting value: line 1 column 13 (char 12)"),
         ('{"orders": [{"order": "x", "entropy_bits": 3.5}]}',
-         'entry 1: order must be an integer, got "x"'),
+         "entry 1: order must be an integer, not 'x'"),
     ], ids=["truncated", "non-integer-order"])
     def test_unreadable_profile_names_path(self, tmp_path, body, problem):
         profile = tmp_path / "p.json"
@@ -506,7 +507,43 @@ class TestPredictCommand:
         profile.write_text('{"orders": [{"order": 2, "entropy_bits": 3.5}]}', encoding="utf-8")
         assert run(["predict", "--profile", profile, "--orders", "2, x"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "wordlen predict: --orders: 'x' is not a whole number"]
+            "wordlen predict: --orders must be an integer, not 'x'"]
+
+    @pytest.mark.parametrize("orders, problem", [
+        # int() read the first two as order 2
+        ("0_2", "--orders must be an integer, not '0_2'"),
+        ("3,+2", "--orders must be an integer, not '+2'"),
+        ("-2", "--orders must be an integer, not '-2'"),
+        ("9" * 5000, "--orders must have at most 4300 digits, not 5000"),
+    ], ids=["underscore", "sign", "negative", "long"])
+    def test_orders_are_ascii_digits(self, tmp_path, capsys, orders, problem):
+        profile = tmp_path / "p.json"
+        profile.write_text('{"orders": [{"order": 2, "entropy_bits": 3.5}]}', encoding="utf-8")
+        assert run(["predict", "--profile", profile, "--orders", orders]) == 1
+        assert capsys.readouterr() == ("", f"wordlen predict: {problem}\n")
+
+    def test_negative_order_is_refused(self, tmp_path, capsys):
+        # it used to be held: "it holds orders -4, 2"
+        profile = tmp_path / "p.json"
+        profile.write_text('{"orders": [{"order": -4, "entropy_bits": 3.5}, '
+                           '{"order": 2, "entropy_bits": 3.5}]}', encoding="utf-8")
+        assert run(["predict", "--profile", profile, "--orders", "3"]) == 1
+        assert capsys.readouterr() == (
+            "", f"wordlen predict: {profile}: entry 1: order must be >= 0\n")
+
+    @pytest.mark.parametrize("body, problem", [
+        ('{"orders": [{"order": ' + "2" * 5000 + ', "entropy_bits": 3.5}]}',
+         "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["long-number", "deep-nesting"])
+    def test_unparseable_profile_fails_in_one_line(self, tmp_path, body, problem):
+        # the first used to print no path, and the second a RecursionError traceback
+        profile = tmp_path / "p.json"
+        profile.write_text(body, encoding="utf-8")
+        proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"wordlen predict: {profile}: not JSON: {problem}")
 
     def test_zero_entropy_predicts_one_string(self, capsys):
         assert run(["predict", "--entropy-bits", "0", "--length", "9"]) == 0
@@ -524,7 +561,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize("flags, problem", [
         (["--orders", "2,7"], "{profile} has no order 7; it holds orders 0, 1, 2, 3"),
         (["--orders", "9,2,7"], "{profile} has no order 7, 9; it holds orders 0, 1, 2, 3"),
-        (["--orders", "0,2"], "--orders: 0 is not a word length; orders start at 1"),
+        (["--orders", "0,2"], "--orders must be >= 1"),
         (["--entropy-bits", "3", "--length", "2"],
          "--entropy-bits and --length cannot be used with --profile"),
         (["--length", "2"], "--entropy-bits and --length cannot be used with --profile"),
@@ -1384,7 +1421,7 @@ class TestInventoryOption:
 class TestHistogramReader:
     @pytest.mark.parametrize("rows, problem", [
         # a length-0 row used to land in the last cell, replacing the length-4 count
-        (["1,5", "2,7", "4,1", "0,3"], "length 0 is not a length >= 1"),
+        (["1,5", "2,7", "4,1", "0,3"], "line 5: length must be >= 1"),
         # a repeated length used to overwrite the earlier row
         (["1,5", "2,7", "2,1"], "length 2 is listed twice"),
         (["1,5", "2,7", "4,1"], "length 3 has no row"),
@@ -1397,10 +1434,10 @@ class TestHistogramReader:
             read_histogram_csv(path)
 
     @pytest.mark.parametrize("rows, problem", [
-        (["1,5", "x,3"], "line 3: cannot read 'x,3'"),
-        (["1,5", "2,7x"], "line 3: cannot read '2,7x'"),
-        (["1,5", "2,-3"], "line 3: negative count -3"),
-        (["1,5", "overflow,-1"], "line 3: negative count -1"),
+        (["1,5", "x,3"], "line 3: length must be an integer, not 'x'"),
+        (["1,5", "2,7x"], "line 3: count must be an integer, not '7x'"),
+        (["1,5", "2,-3"], "line 3: count must be an integer, not '-3'"),
+        (["1,5", "overflow,-1"], "line 3: count must be an integer, not '-1'"),
         # a second overflow row used to replace the first
         (["1,5", "2,7", "overflow,3", "overflow,9"], "line 5: overflow is listed twice"),
     ])
@@ -1439,6 +1476,31 @@ class TestHistogramReader:
             "except ValueError as err: print(err)"), path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"{path}: length 2 has no row"
+
+    @pytest.mark.parametrize("row, problem", [
+        # int() read the first three as length 3, and 3.0 is no length
+        ("0_3,1", "length must be an integer, not '0_3'"),
+        ("\u0663,1", "length must be an integer, not '\u0663'"),
+        ("+3,1", "length must be an integer, not '+3'"),
+        ("3.0,1", "length must be an integer, not '3.0'"),
+        ("3,1_0", "count must be an integer, not '1_0'"),
+        ("9" * 5000 + ",1", "length must have at most 4300 digits, not 5000"),
+        ("3," + "9" * 5000, "count must have at most 4300 digits, not 5000"),
+    ], ids=["underscore", "arabic-indic", "sign", "decimal", "count-underscore",
+            "long-length", "long-count"])
+    def test_only_ascii_digits_are_read(self, tmp_path, capsys, row, problem):
+        path = tmp_path / "h.csv"
+        path.write_text(f"length,count\n1,5\n2,7\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 4: {problem}')}$"):
+            read_histogram_csv(path)
+        assert run(["implied", "--histogram", path]) == 1
+        assert capsys.readouterr() == ("", f"wordlen implied: {path}: line 4: {problem}\n")
+
+    @pytest.mark.parametrize("row", ["2, 7", " 2 ,7", "2 , 7 "])
+    def test_whitespace_around_a_cell_is_read(self, tmp_path, row):
+        path = tmp_path / "h.csv"
+        path.write_text(f"length,count\n1,5\n{row}\noverflow, 1\n", encoding="utf-8")
+        assert read_histogram_csv(path) == WordLengthHistogram((5, 7), 2, 1)
 
 
 def test_import_does_not_load_scipy():

@@ -3,14 +3,19 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordlen.ingest import load_wordlist
 from wordlen.inventory import (
     PRESET_NAMES,
     InventoryError,
     SymbolInventory,
+    _read_whole,
     _real,
+    _whole,
     load_inventory_file,
     preset_inventory,
     resolve_inventory,
@@ -154,6 +159,10 @@ def test_resolve_inventory_prefers_presets():
     ((1.5, "p_value", 0.0, 1.0, "[]"), "p_value must be in [0, 1], got 1.5"),
     ((1, "p", 0.0, 1.0, "()"), "p must be in (0, 1), got 1.0"),
     ((0.0, "p", 0.0, 1.0, "(]"), "p must be in (0, 1], got 0.0"),
+    ((True, "p_value", 0.0, 1.0, "[]"), "p_value must be a number, not True"),
+    # an end printed to six digits, 7.45123, read as if the value met it
+    ((7.45123, "vocab_observed", 7.4512345, math.inf, "()"),
+     "vocab_observed must be finite and > 7.4512345, got 7.45123"),
 ])
 def test_real_names_the_argument_and_its_interval(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -162,7 +171,7 @@ def test_real_names_the_argument_and_its_interval(args, message):
 
 @pytest.mark.parametrize("args, want", [
     ((0, "p_value", 0.0, 1.0, "[]"), 0.0),
-    ((True, "p_value", 0.0, 1.0, "[]"), 1.0),
+    ((1, "p_value", 0.0, 1.0, "[]"), 1.0),
     ((Fraction(1, 2), "p", 0.0, 1.0, "()"), 0.5),
     ((10**400, "stat", 0.0, math.inf, "[]"), math.inf),
     ((7.5, "vocab_observed", 7.45, math.inf, "()"), 7.5),
@@ -170,3 +179,49 @@ def test_real_names_the_argument_and_its_interval(args, message):
 def test_real_returns_a_float(args, want):
     got = _real(*args)
     assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+def test_both_rules_refuse_a_bool(value):
+    # a Python bool used to pass both as 0 or 1, where _real refused np.True_
+    with pytest.raises(ValueError, match=f"^count must be an integer, not {value}$"):
+        _whole(value, "count", 0)
+    for flag in (value, np.bool_(value)):
+        with pytest.raises(ValueError, match=f"^p must be a number, not {re.escape(repr(flag))}$"):
+            _real(flag, "p", 0.0, 1.0, "[]")
+
+
+# text cells: digits with underscores, signs, other scripts' digits and
+# whitespace, which int() reads, and cells past its 4,300-digit limit
+CELLS = st.one_of(
+    st.text(),
+    st.from_regex(r"\A[+-]?[0-9][0-9_]*\Z"),
+    st.from_regex(r"\A[0-9\u0660-\u0669\u06f0-\u06f9\uff10-\uff19]+\Z"),
+    st.from_regex(r"\A\s*[0-9]+\s*\Z"),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["9" * 5000, "0" * 5000, "1" + "0" * 4299, "1" + "0" * 4300]),
+)
+
+
+@given(CELLS, st.integers(0, 3))
+def test_read_whole_reads_ascii_digits_only(text, least):
+    plain = text.isascii() and text.isdigit()
+    try:
+        got = _read_whole(text, "cell", least)
+    except ValueError as err:
+        assert str(err).startswith("cell must ")
+        assert not plain or len(text) > 4300 or int(text) < least
+    else:
+        assert plain and type(got) is int and got == int(text) >= least
+
+
+@pytest.mark.parametrize("body, problem", [
+    ('{"letters": ["a"], "case_fold": ' + "1" * 5000 + "}", "Exceeds the limit"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["long-number", "deep-nesting"])
+def test_unreadable_inventory_file_fails_in_one_line(tmp_path, body, problem):
+    # both used to escape as a bare ValueError or a RecursionError, with no path
+    path = tmp_path / "inv.json"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(InventoryError, match=f"^{re.escape(str(path))}: not JSON: {problem}[^\n]*$"):
+        load_inventory_file(path)

@@ -101,6 +101,28 @@ class TestModelHistogram:
         for n in range(1, 11):
             assert hist[n - 1] == pytest.approx(brute_model_count(2, 0.5, n))
 
+    def test_checks_its_arguments_once(self, monkeypatch):
+        # each cell used to check the symbol count and p again: 101 _whole
+        # and 50 _real calls for 50 cells
+        calls = {"_whole": 0, "_real": 0}
+        for name in calls:
+            def counted(*args, _name=name, _rule=getattr(lm, name)):
+                calls[_name] += 1
+                return _rule(*args)
+            monkeypatch.setattr(lm, name, counted)
+        hist = lm.model_histogram(27, 0.88, 50)
+        assert calls["_whole"] <= 2 and calls["_real"] <= 1
+        monkeypatch.undo()
+        assert hist == [lm.model_count(27, 0.88, n) for n in range(1, 51)]
+
+    def test_checks_max_length_then_symbols_then_p(self):
+        with pytest.raises(ValueError, match="^max_length must be >= 1$"):
+            lm.model_histogram(1, 1.5, 0)
+        with pytest.raises(ValueError, match="^symbol count must be >= 2$"):
+            lm.model_histogram(1, 1.5, 3)
+        with pytest.raises(ValueError, match=re.escape("p must be in (0, 1), got 1.5")):
+            lm.model_histogram(27, 1.5, 3)
+
 
 class TestChiSquare:
     def test_identical_vectors_give_zero(self):
@@ -340,6 +362,12 @@ class TestVocabulary:
     def test_solve_b_needs_vocab_above_scale(self):
         with pytest.raises(ValueError):
             lm.solve_b(27, 0.88, 7.45, 7.0)
+
+    def test_solve_b_states_a_non_round_scale_exactly(self):
+        # the scale printed to six digits, "> 7.45123, got 7.45123"
+        with pytest.raises(ValueError, match=re.escape(
+                "vocab_observed must be finite and > 7.4512345, got 7.45123")):
+            lm.solve_b(27, 0.88, 7.4512345, 7.45123)
 
     def test_approx_overflow_names_its_arguments(self):
         # the power used to raise a raw OverflowError, and a finite power
