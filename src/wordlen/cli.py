@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import lengthmodel, report, simulate
 from .ingest import load_corpus, load_wordlist, word_length_histogram
-from .inventory import (PRESET_NAMES, SymbolInventory, _read_whole, _whole, read_utf8,
-                        resolve_inventory)
+from .inventory import (PRESET_NAMES, SymbolInventory, _flag_real, _flag_whole, _read_whole,
+                        _whole, read_utf8, resolve_inventory)
 from .ngram import _check_order, entropy_profile
 from .report import Artifact, WordLengthHistogram
 
@@ -60,14 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser("histogram", help="distinct-word length histogram")
     p_hist.add_argument("wordlist", help="UTF-8 word list, one word per line")
-    p_hist.add_argument("--max-length", type=int, default=50)
+    p_hist.add_argument("--max-length", type=_flag_whole, default=50)
     _add_common(p_hist)
 
     p_fit = sub.add_parser("fit", help="fit the letter-probability length model")
     p_fit.add_argument("wordlist")
-    p_fit.add_argument("--max-length", type=int, default=50)
+    p_fit.add_argument("--max-length", type=_flag_whole, default=50)
     p_fit.add_argument("--label", default="", help="language label for the report")
-    p_fit.add_argument("--scale-a", type=float, default=report.DEFAULT_SCALE_A,
+    p_fit.add_argument("--scale-a", type=_flag_real, default=report.DEFAULT_SCALE_A,
                        help="shared scale constant of the vocabulary closed form")
     p_fit.add_argument("--trim-tail", action="store_true",
                        help="drop cells past the last nonzero observed length")
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ent = sub.add_parser("entropy", help="conditional entropy profile of a corpus")
     p_ent.add_argument("corpus", help="UTF-8 plain-text corpus")
-    p_ent.add_argument("--max-order", type=int, default=3)
+    p_ent.add_argument("--max-order", type=_flag_whole, default=3)
     p_ent.add_argument("--label", default="")
     _add_common(p_ent)
 
@@ -89,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--orders", default=None,
                         help="comma-separated orders to take from the profile "
                              "(default: those of 2 and 3 it holds)")
-    p_pred.add_argument("--entropy-bits", type=float, default=None,
+    p_pred.add_argument("--entropy-bits", type=_flag_real, default=None,
                         help="explicit entropy value (with --length)")
-    p_pred.add_argument("--length", type=int, default=None)
+    p_pred.add_argument("--length", type=_flag_whole, default=None)
     p_pred.add_argument("--label", default="")
     _add_common(p_pred, inventory=False)
 
@@ -102,22 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="word list (or use --histogram)")
     p_imp.add_argument("--histogram", default="",
                        help="histogram CSV written by the histogram command")
-    p_imp.add_argument("--max-length", type=int, default=50)
+    p_imp.add_argument("--max-length", type=_flag_whole, default=50)
     p_imp.add_argument("--label", default="")
     _add_common(p_imp)
     # left unset unless given, so that --histogram can refuse them
     p_imp.set_defaults(max_length=None, inventory=None)
 
     p_sim = sub.add_parser("simulate", help="bag-model word generation")
-    p_sim.add_argument("--p", type=float, required=True,
+    p_sim.add_argument("--p", type=_flag_real, required=True,
                        help="probability a drawn symbol is a letter")
-    p_sim.add_argument("--symbols", type=int, required=True,
+    p_sim.add_argument("--symbols", type=_flag_whole, required=True,
                        help="inventory size including the separator")
-    p_sim.add_argument("--words", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--words", type=_flag_whole, default=100_000)
+    p_sim.add_argument("--seed", type=_flag_whole, default=0)
     p_sim.add_argument("--mode", choices=simulate.MODES,
                        default="forced_first_letter")
-    p_sim.add_argument("--max-length", type=int, default=50)
+    p_sim.add_argument("--max-length", type=_flag_whole, default=50)
     _add_common(p_sim, inventory=False)
 
     return parser

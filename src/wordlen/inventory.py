@@ -68,6 +68,27 @@ def _read_whole(text: str, name: str, least: int) -> int:
     return _whole(number, name, least)
 
 
+def _flag_whole(text: str) -> int:
+    """A whole-number flag: an optional "-", then ASCII digits. Its bounds
+    are left to the layer it is passed to."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):  # int() reads "٥", "0_5" and "+5"
+        raise ValueError(text)
+    return int(text)
+
+
+def _flag_real(text: str) -> float:
+    """A real-number flag: ASCII text with no "_" and no surrounding
+    whitespace, read by ``float``. Its bounds are left to the layer."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return float(text)
+
+
+# argparse names a refused value by its reader's name, as for int and float
+_flag_whole.__name__, _flag_real.__name__ = "int", "float"
+
+
 def _real(value, name: str, low: float, high: float = math.inf, closed: str = "[)") -> float:
     """``value`` as a float, if it is a real number, Python or numpy, in the
     interval from ``low`` to ``high`` whose ends ``closed`` marks. Every layer

@@ -381,17 +381,21 @@ class TestEntropyCommand:
             # documented rendering rule: entropies print at 2 decimals
             assert row["entropy_bits"] == f"{entry['entropy_bits']:.2f}"
 
-    @pytest.mark.parametrize("preset, max_order", [("english", 3), ("swahili", 4)])
-    def test_memory_grows_by_at_most_2_5_bytes_per_character(self, tmp_path, preset, max_order):
+    @pytest.mark.parametrize("preset, max_order, line_end", [
+        ("english", 3, "\n"), ("swahili", 4, "\n"), ("english", 3, " "), ("swahili", 4, " "),
+    ], ids=["english-3", "swahili-4", "english-3-one-line", "swahili-4-one-line"])
+    def test_memory_grows_by_at_most_2_5_bytes_per_character(self, tmp_path, preset, max_order,
+                                                             line_end):
         # the text is held once and the stream takes one byte per symbol;
         # the Swahili words hold the digraph ch, one symbol, and count a
-        # denser order
+        # denser order; with a space for every line end, the text is one
+        # line, which used to be normalised and coded whole
         letters = {"english": "abcdefghijklmnopqrstuvwxyz",
                    "swahili": tuple("abdefghijklmnoprstuvwyz") + ("ch",)}[preset]
         rng = random.Random(3)
         words = ["".join(rng.choices(letters, k=rng.randint(1, 11))) for _ in range(4000)]
         picked = rng.choices(words, k=320_000)
-        line_block = "".join(" ".join(picked[i : i + 10]) + ".\n"
+        line_block = "".join(" ".join(picked[i : i + 10]) + "." + line_end
                              for i in range(0, len(picked), 10))
         peaks = {}
         for copies in (1, 4):
@@ -1597,6 +1601,41 @@ def test_flags_are_checked_before_the_input_is_read(monkeypatch, capsys, tmp_pat
     command, *rest = flags.split()
     assert run([command, "input.txt", *rest]) == 1
     assert capsys.readouterr().err.splitlines() == [f"wordlen {command}: {FLAG_PROBLEMS[flags]}"]
+
+
+# each numeric flag, after the flags its command needs besides it
+NUMERIC_FLAGS = [
+    ("histogram words.txt", "--max-length", "int"),
+    ("fit words.txt", "--max-length", "int"),
+    ("implied words.txt", "--max-length", "int"),
+    ("simulate --p 0.88 --symbols 27", "--max-length", "int"),
+    ("entropy corpus.txt", "--max-order", "int"),
+    ("predict --entropy-bits 3.56", "--length", "int"),
+    ("simulate --p 0.88", "--symbols", "int"),
+    ("simulate --p 0.88 --symbols 27", "--words", "int"),
+    ("simulate --p 0.88 --symbols 27", "--seed", "int"),
+    ("simulate --symbols 27", "--p", "float"),
+    ("predict --length 2", "--entropy-bits", "float"),
+    ("fit words.txt", "--scale-a", "float"),
+]
+# int() and float() read other scripts' digits, "_" between digits and
+# surrounding whitespace, and int() a leading "+"
+REFUSED_FLAG_TEXT = {
+    "int": ["٥", "５", "0_5", "+5", " 5", "5 ", "5\n", "5.0", "", "-", "abc"],
+    "float": ["٠.٥", "０.5", "0.8_8", " 0.5", "0.5 ", "0.5\t", "", "abc"],
+}
+
+
+@pytest.mark.parametrize("before, flag, kind", NUMERIC_FLAGS,
+                         ids=[f"{b.split()[0]}{f}" for b, f, _ in NUMERIC_FLAGS])
+def test_numeric_flags_read_ascii_text_only(capsys, before, flag, kind):
+    command = before.split()[0]
+    for text in REFUSED_FLAG_TEXT[kind]:
+        with pytest.raises(SystemExit) as exit_:
+            main([*before.split(), f"{flag}={text}"])
+        assert exit_.value.code == 2, text
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"wordlen {command}: error: argument {flag}: invalid {kind} value: {text!r}")
 
 
 def test_far_max_length_is_refused_in_bounded_memory(tmp_path):

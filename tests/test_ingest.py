@@ -42,10 +42,15 @@ NORMALISATION_PIECES = [
 ]
 
 # cuts fall beside line breaks, a combining mark, capital sigma (lowered by
-# context), İ (lowered to two characters), a multigraph and a character no
-# inventory holds
+# context), İ (lowered to two characters), a multigraph, a character no
+# inventory holds, whitespace that a letter or the separator holds, and
+# whitespace that NFC rewrites (U+2000 to U+2002)
 BLOCK_PIECES = ["\r\n", "\n", "\r", "\x0b", "\u0301", "Σ", "σ", "İ", "ch", "c", "h", "a",
-                "b", "e", "A", " ", ".", "x"]
+                "b", "e", "A", " ", ".", "x", "\t", "\x1f", " |", "b c", "\u2000"]
+# letters that hold ASCII whitespace or U+2002, and a separator that holds
+# a space, where no block may end; in SEPARATED only the separator holds one
+SPACED = SymbolInventory(["a", "b c", "ch", "\t", "e\u2002e"], " |")
+SEPARATED = SymbolInventory(["a", "ch", "\t"], " |")
 
 # pieces of unnormalised letters: upper and lower case, composed and
 # decomposed accents, a lone combining mark, and capital sharp s (lowered to ß)
@@ -410,13 +415,18 @@ class TestCorpus:
         assert str(err.value) == message
         clean = text.replace("\u00e9", " ")
         want = greedy_reference(clean, ENGLISH, strict=True)
-        for size in (7, 64, 1000, len(text) + 1):
-            with mock.patch.object(ingest, "_BLOCK_CHARS", size):
-                with pytest.raises(TokenizationError) as err:
-                    load_corpus(text, ENGLISH, strict=True)
-                assert (str(err.value), err.value.line) == (message, 1201), size
-                assert load_corpus(clean, ENGLISH, strict=True).symbols.tolist() == want, size
-                assert load_corpus(clean, ENGLISH).symbols.tolist() == want, size
+        # "\r" or U+2028 in place of every "\n" keeps the é on line 1201,
+        # and blocks end at the spaces, tabs and line breaks around it
+        for end in ("\n", "\r", "\u2028"):
+            copy, clean_copy = text.replace("\n", end), clean.replace("\n", end)
+            for size in (7, 64, 1000, len(text) + 1):
+                with mock.patch.object(ingest, "_BLOCK_CHARS", size):
+                    with pytest.raises(TokenizationError) as err:
+                        load_corpus(copy, ENGLISH, strict=True)
+                    assert (str(err.value), err.value.line) == (message, 1201), (end, size)
+                    got = load_corpus(clean_copy, ENGLISH, strict=True).symbols.tolist()
+                    assert got == want, (end, size)
+                    assert load_corpus(clean_copy, ENGLISH).symbols.tolist() == want, (end, size)
 
     def test_non_bmp_letter(self):
         # the table reaches the letter's code point, with or without a
@@ -445,11 +455,15 @@ class TestCorpus:
         assert load_corpus(text, inv, strict).symbols.tolist() == want
 
     @settings(max_examples=150)
-    @given(st.sampled_from([SWAHILI, ACCENTED]),
+    @given(st.sampled_from([SWAHILI, ACCENTED, SPACED, SEPARATED]),
            st.lists(st.sampled_from(BLOCK_PIECES), max_size=25).map("".join),
            st.booleans())
     @example(SWAHILI, "ch\r\na\x0b\n\nx", True)
     @example(SWAHILI, "a\nİİİ", False)  # more tokens than characters
+    # long texts with no line break
+    @example(SPACED, "a b c\tch |a\x1fb c  ΣA İ\tch. " * 8, False)
+    @example(SPACED, "a b c\tch |e\u2000e\x1fb c\t |a " * 8, True)
+    @example(SEPARATED, "a |ch\ta |a\x1fch | a " * 8, True)
     def test_stream_does_not_depend_on_block_size(self, inv, text, strict):
         def outcome():
             try:
