@@ -4,9 +4,15 @@ One artifact = one JSON payload plus one CSV rendering of the same numbers.
 CSV is the presentation format: entropy columns print with two decimals
 (the convention of the tables this mirrors) while every other number keeps
 full double precision, so the JSON and CSV of a run always carry the same
-content up to that documented entropy rounding. All CSV is UTF-8 with LF
-line endings and '.' decimals; leading ``#`` lines carry flags such as
-``source=simulated``.
+content up to that documented entropy rounding. CSV uses '.' decimals;
+leading ``#`` lines carry flags such as ``source=simulated``.
+
+Every artifact is encoded once, as strict UTF-8 with LF line ends, before
+its destination is opened, and the same bytes go to a file or to stdout
+whatever the locale or ``PYTHONIOENCODING``; an artifact that cannot be
+encoded (a label holding a lone surrogate, as Python reads a non-UTF-8 byte
+of argv or of a file name) is refused with the codec's message and nothing
+is written.
 
 ``WordLengthHistogram`` lives here, beside the artifacts that write and
 read it, and holds Python ints, so a histogram CSV is read without numpy.
@@ -111,13 +117,17 @@ def _label_comment(label: str) -> tuple[str, ...]:
 
 
 def write_artifact(artifact: Artifact, fmt: str, out: str | Path) -> None:
-    """Write ``artifact`` as ``fmt`` ('csv' or 'json') to ``out`` ('-' for stdout)."""
-    text = artifact.to_json() if fmt == "json" else artifact.to_csv()
+    """Write ``artifact`` as ``fmt`` ('csv' or 'json') to ``out`` ('-' for stdout).
+
+    The bytes are encoded before ``out`` is opened, so an artifact that is
+    not valid text leaves every destination as it was.
+    """
+    data = (artifact.to_json() if fmt == "json" else artifact.to_csv()).encode("utf-8")
     if str(out) == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        Path(out).write_bytes(data)
 
 
 def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> Artifact:

@@ -74,23 +74,24 @@ def _blocks(cfg: SimulationConfig) -> Iterator[np.ndarray]:
 
     ``Generator.random`` yields the same doubles however its draws are cut,
     so the block size changes memory use, not the lengths; identical
-    configs (seed included) yield identical lengths. Every block allocates
-    the same few arrays, so the peak memory is the same whatever the seed.
+    configs (seed included) yield identical lengths. Each block is drawn
+    into one buffer reused for the whole call, and its separators are kept
+    as trial indices counted from the first draw, so a word's run is the gap
+    to the separator before it, in this block or an earlier one, and no
+    count is carried between blocks; a block without a separator yields no
+    lengths. Every block allocates the same few arrays, so the peak memory
+    is the same whatever the seed.
     """
     import numpy as np
 
     rng = np.random.default_rng(cfg.seed)
-    left = cfg.word_target
-    carry = 0  # letters of a word left unfinished by the previous block
+    draws = np.empty(_BLOCK_TRIALS)
+    left, first, last = cfg.word_target, 0, -1
     while left > 0:
-        is_letter = rng.random(_BLOCK_TRIALS) < cfg.p
-        sep_positions = np.flatnonzero(~is_letter)
-        if sep_positions.size == 0:
-            carry += _BLOCK_TRIALS
-            continue
-        runs = np.diff(sep_positions, prepend=-1) - 1
-        runs[0] += carry
-        carry = _BLOCK_TRIALS - int(sep_positions[-1]) - 1
+        # trial indices of the last separator so far and of this block's separators
+        seps = np.append(last, np.flatnonzero(rng.random(out=draws) >= cfg.p) + first)
+        runs = np.diff(seps) - 1
+        first, last = first + _BLOCK_TRIALS, seps[-1]
         if cfg.mode == "forced_first_letter":
             lengths = (runs + 1)[:left]
         else:

@@ -27,11 +27,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_python(*args, env=None):
+def run_python(*args, env=None, text=True):
     """A fresh interpreter that imports this checkout's ``wordlen``, with the
-    variables in ``env`` added and no BLAS thread count inherited."""
+    variables in ``env`` added and no BLAS thread count inherited; its output
+    is read as bytes unless ``text``."""
     inherited = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=text,
                           env={**inherited, "PYTHONPATH": SRC, **(env or {})}, check=False)
 
 
@@ -1713,6 +1714,60 @@ def test_runs_as_a_module(reference_style_wordlist):
     proc = run_python("-m", "wordlen.cli", "histogram", reference_style_wordlist)
     assert proc.returncode == 0, proc.stderr
     assert "2,93" in proc.stdout.splitlines()
+
+
+ONE_BYTE_PATH = [
+    # histogram takes its label from the stem of слова.txt; simulate's is fixed
+    ("histogram", [], "слова"),
+    ("fit", ["--label", "ж"], "ж"),
+    ("entropy", ["--max-order", "1", "--label", "ж"], "ж"),
+    ("predict", ["--entropy-bits", "3.5", "--length", "2", "--label", "ж"], "ж"),
+    ("implied", ["--label", "ж"], "ж"),
+    ("simulate", ["--p", "0.5", "--symbols", "27", "--words", "100"], "simulated"),
+]
+
+
+@pytest.mark.parametrize("command, flags, label", ONE_BYTE_PATH,
+                         ids=[command for command, _, _ in ONE_BYTE_PATH])
+def test_stdout_gets_the_bytes_a_file_gets(tmp_path, command, flags, label):
+    # a Latin-1 stdout used to refuse the label (exit 1) that a file got as UTF-8
+    words = tmp_path / "слова.txt"
+    words.write_text(WORDLIST, encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the cat sat on the mat\n" * 20, encoding="utf-8")
+    inputs = {"histogram": [words], "fit": [words], "entropy": [corpus], "implied": [words]}
+    argv = ["-m", "wordlen.cli", command, *inputs.get(command, []), *flags]
+    out = tmp_path / "out.csv"
+    latin1 = {"PYTHONIOENCODING": "latin-1"}
+    to_file = run_python(*argv, "--out", out, env=latin1, text=False)
+    to_stdout = run_python(*argv, "--out", "-", env=latin1, text=False)
+    assert (to_file.returncode, to_stdout.returncode) == (0, 0), to_stdout.stderr
+    assert to_stdout.stdout == out.read_bytes()
+    assert label.encode("utf-8") in to_stdout.stdout
+
+
+PREDICT_ARGV = ["predict", "--entropy-bits", "3.5", "--length", "2"]
+SURROGATE_ERROR = ("wordlen predict: 'utf-8' codec can't encode character '\\udcff' "
+                   "in position 8: surrogates not allowed")
+
+
+def test_unencodable_label_leaves_the_destination_as_it_was(tmp_path, capsys):
+    # the file used to be emptied before the label failed to encode
+    out = tmp_path / "p.csv"
+    assert run([*PREDICT_ARGV, "--out", out]) == 0
+    before = out.read_bytes()
+    assert run([*PREDICT_ARGV, "--label", "\udcff", "--out", out]) == 1
+    assert capsys.readouterr() == ("", SURROGATE_ERROR + "\n")
+    assert out.read_bytes() == before
+
+
+def test_unencodable_label_writes_nothing_to_stdout():
+    # argv byte 0xff reaches the label as "\udcff"; a stdout that escapes
+    # surrogates used to write it as that byte, which is not UTF-8, and exit 0
+    proc = run_python("-m", "wordlen.cli", *PREDICT_ARGV, "--label", os.fsdecode(b"\xff"),
+                      env={"PYTHONIOENCODING": "utf-8:surrogateescape"}, text=False)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode("ascii").splitlines() == [SURROGATE_ERROR]
 
 
 @pytest.mark.parametrize("command, text, flags", [

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import re
 from unittest import mock
@@ -163,6 +164,20 @@ def test_lengths_do_not_depend_on_block_size(monkeypatch, mode, p):
         assert np.array_equal(draw_word_lengths(cfg), want)
 
 
+@pytest.mark.parametrize("mode, sha256, total", [
+    ("forced_first_letter", "57bf59c4e4e352dc7cd5bcb497270ebbcd26d03c29bbe9eb7ba3bfb3f113d6d6",
+     48957744),
+    ("reject_empty", "03649e8e2f5bce45626fbe821abbc11a4bf64da4faaab38b2de588ecd5150457",
+     48957244),
+])
+def test_lengths_across_blocks_without_a_separator(mode, sha256, total):
+    # a word takes about 10**5 trials here, so most default-size blocks hold
+    # no separator and most words span several blocks
+    lengths = draw_word_lengths(SimulationConfig(0.99999, 27, 500, 3, mode))
+    assert int(lengths.sum()) == total
+    assert hashlib.sha256(lengths.astype("<i8").tobytes()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("block", [1, 7, 4096])
 @settings(max_examples=100, deadline=None)
 @given(
@@ -173,7 +188,7 @@ def test_lengths_do_not_depend_on_block_size(monkeypatch, mode, p):
     max_length=st.integers(1, 60),
 )
 def test_counts_equal_the_drawn_lengths(block, p, mode, seed, words, max_length):
-    # small blocks cut words across blocks, so the carry between them is exercised
+    # small blocks cut words across blocks, so runs that span blocks are exercised
     cfg = SimulationConfig(p, 27, words, seed, mode)
     with mock.patch.object(simulate, "_BLOCK_TRIALS", block):
         lengths = draw_word_lengths(cfg)
