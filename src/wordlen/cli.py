@@ -4,9 +4,12 @@ Subcommands mirror the library layers: ``histogram`` and ``fit`` work on
 word lists, ``entropy`` on corpora, ``predict`` and ``implied`` convert
 between entropies and word counts, and ``simulate`` runs the bag model.
 Every subcommand is deterministic given its inputs (and seed). Each
-``_cmd_*`` builds its artifacts and returns them with their destinations:
-one for every command, and for ``fit`` a second with ``--curve-out``.
-``main`` writes them in order, each in the one ``--format`` given.
+``_cmd_*`` only reads its inputs and returns what is to be written: its
+artifacts with their destinations (one for every command, and for ``fit`` a
+second with ``--curve-out``), and its notes, the warnings for stderr. No
+command writes to a stream. ``main`` alone writes: each artifact in order,
+in the one ``--format`` given, and then each note, or on a failure the one
+error line instead. Every stderr line is UTF-8 whatever the locale.
 
 Only ``entropy`` and ``simulate`` load numpy: the layers import it inside
 the functions that compute with arrays. The commands call the layer
@@ -33,6 +36,8 @@ from .ngram import _check_order, entropy_profile
 from .report import Artifact, WordLengthHistogram
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
+# what a command returns: its artifacts with their destinations, and its notes
+_Result = tuple[list[tuple[Artifact, str]], list[str]]
 
 
 def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None:
@@ -131,12 +136,12 @@ def _wordlist_histogram(args) -> tuple[SymbolInventory, WordLengthHistogram]:
     return inv, hist
 
 
-def _cmd_histogram(args) -> list[tuple[Artifact, str]]:
+def _cmd_histogram(args) -> _Result:
     _, hist = _wordlist_histogram(args)
-    return [(report.histogram_artifact(hist), args.out)]
+    return [(report.histogram_artifact(hist), args.out)], []
 
 
-def _cmd_fit(args) -> list[tuple[Artifact, str]]:
+def _cmd_fit(args) -> _Result:
     report._check_scale_a(args.scale_a)  # before the word list is read
     inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
@@ -144,23 +149,22 @@ def _cmd_fit(args) -> list[tuple[Artifact, str]]:
     outputs = [(artifact, args.out)]
     if args.curve_out:
         outputs.append((report.fit_curve_artifact(hist, model), args.curve_out))
-    return outputs
+    return outputs, []
 
 
-def _cmd_entropy(args) -> list[tuple[Artifact, str]]:
+def _cmd_entropy(args) -> _Result:
     inv = resolve_inventory(args.inventory)
     _check_order(args.max_order, inv.symbol_count)  # before the corpus is read
     stream = load_corpus(read_utf8(args.corpus), inv, strict=args.strict)
     profile = entropy_profile(stream, inv, args.max_order)
-    if not all(profile.adequate):
-        print(f"wordlen entropy: warning: stream of {profile.sample_tokens} tokens cannot "
-              f"adequately sample order >= {profile.adequate.index(False)} over "
-              f"{profile.inventory_symbols} symbols", file=sys.stderr)
+    notes = [] if all(profile.adequate) else [
+        f"warning: stream of {profile.sample_tokens} tokens cannot adequately sample "
+        f"order >= {profile.adequate.index(False)} over {profile.inventory_symbols} symbols"]
     return [(report.profile_artifact(profile, label=args.label or Path(args.corpus).stem),
-             args.out)]
+             args.out)], notes
 
 
-def _cmd_predict(args) -> list[tuple[Artifact, str]]:
+def _cmd_predict(args) -> _Result:
     if args.profile:
         if args.entropy_bits is not None or args.length is not None:
             raise ValueError("--entropy-bits and --length cannot be used with --profile")
@@ -177,21 +181,19 @@ def _cmd_predict(args) -> list[tuple[Artifact, str]]:
         entries = [entry for entry in entries if entry[0] in wanted]
         if not entries:
             raise ValueError("profile has no entries for the requested orders")
-        for order, _, adequate in entries:
-            if adequate is False:
-                print(f"wordlen predict: warning: order {order} is undersampled in {args.profile}",
-                      file=sys.stderr)
+        notes = [f"warning: order {order} is undersampled in {args.profile}"
+                 for order, _, adequate in entries if adequate is False]
         pairs = [(order, bits) for order, bits, _ in entries]
     elif args.orders is not None:
         raise ValueError("--orders cannot be used without --profile")
     elif args.entropy_bits is not None and args.length is not None:
-        pairs = [(args.length, args.entropy_bits)]
+        pairs, notes = [(args.length, args.entropy_bits)], []
     else:
         raise ValueError("give either --profile or both --entropy-bits and --length")
-    return [(report.predictions_artifact(pairs, label=args.label), args.out)]
+    return [(report.predictions_artifact(pairs, label=args.label), args.out)], notes
 
 
-def _cmd_implied(args) -> list[tuple[Artifact, str]]:
+def _cmd_implied(args) -> _Result:
     if args.histogram:
         given = [flag for flag, on in (
             ("a word list", bool(args.wordlist)), ("--max-length", args.max_length is not None),
@@ -206,16 +208,16 @@ def _cmd_implied(args) -> list[tuple[Artifact, str]]:
         _, hist = _wordlist_histogram(args)
     else:
         raise ValueError("give a word list or --histogram")
-    return [(report.implied_artifact(hist, label=args.label), args.out)]
+    return [(report.implied_artifact(hist, label=args.label), args.out)], []
 
 
-def _cmd_simulate(args) -> list[tuple[Artifact, str]]:
+def _cmd_simulate(args) -> _Result:
     cfg = simulate.SimulationConfig(
         p=args.p, symbols=args.symbols, word_target=args.words,
         seed=args.seed, mode=args.mode,
     )
     hist, mean = simulate.length_histogram(cfg, args.max_length)
-    return [(report.simulation_artifact(cfg, hist, mean), args.out)]
+    return [(report.simulation_artifact(cfg, hist, mean), args.out)], []
 
 
 _COMMANDS = {
@@ -240,13 +242,22 @@ def main(argv: list[str] | None = None) -> int:
         max_length = getattr(args, "max_length", None)  # None: implied left it unset
         if max_length is not None and _whole(max_length, "max_length", 1) > _MAX_LENGTH:
             raise ValueError(f"max_length must be <= {_MAX_LENGTH}")
-        for artifact, out in _COMMANDS[args.command](args):
+        outputs, lines = _COMMANDS[args.command](args)
+        for artifact, out in outputs:
             report.write_artifact(artifact, args.format, out)
+        sys.stdout.flush()  # so that the artifacts come before the notes on a shared stream
+        status = 0
     # InventoryError and TokenizationError are ValueErrors
     except (OSError, ValueError, lengthmodel.FitError) as err:
-        print(f"wordlen {args.command}: {err}", file=sys.stderr)
-        return 1
-    return 0
+        lines, status = [str(err)], 1
+    if lines:
+        # backslashreplace, as Python's own stderr: a lone surrogate from argv
+        # is written as its escape, and any other text as in a UTF-8 locale
+        sys.stderr.flush()
+        sys.stderr.buffer.write("".join(f"wordlen {args.command}: {line}\n" for line in lines)
+                                .encode("utf-8", "backslashreplace"))
+        sys.stderr.flush()
+    return status
 
 
 if __name__ == "__main__":

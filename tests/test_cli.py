@@ -29,10 +29,17 @@ def run(args):
 
 def run_python(*args, env=None, text=True):
     """A fresh interpreter that imports this checkout's ``wordlen``, with the
-    variables in ``env`` added and no BLAS thread count inherited; its output
-    is read as bytes unless ``text``."""
+    variables in ``env`` added and no BLAS thread count inherited.
+
+    Whatever the locale, each ``bytes`` argument reaches it as it is and any
+    other as UTF-8 (a lone surrogate as the byte it escapes), and its output
+    is read as UTF-8 text, or as bytes unless ``text``.
+    """
     inherited = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=text,
+    argv = [a if isinstance(a, bytes) else str(a).encode("utf-8", "surrogateescape")
+            for a in args]
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          encoding="utf-8" if text else None,
                           env={**inherited, "PYTHONPATH": SRC, **(env or {})}, check=False)
 
 
@@ -52,6 +59,12 @@ def cli_peak_rss(*argv):
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
     return peak_kb * 1024
+
+
+# a profile holding orders 0..3, with order 3 undersampled
+PROFILE_0_TO_3 = json.dumps({"orders": [
+    {"order": n, "entropy_bits": h, "adequate": n < 3}
+    for n, h in enumerate([4.75, 4.1, 3.56, 3.3])]})
 
 
 def parse_csv(path):
@@ -558,9 +571,7 @@ class TestPredictCommand:
     def profile_0_to_3(self, tmp_path):
         """A profile holding orders 0..3, with order 3 undersampled."""
         profile = tmp_path / "p.json"
-        profile.write_text(json.dumps({"orders": [
-            {"order": n, "entropy_bits": h, "adequate": n < 3}
-            for n, h in enumerate([4.75, 4.1, 3.56, 3.3])]}), encoding="utf-8")
+        profile.write_text(PROFILE_0_TO_3, encoding="utf-8")
         return profile
 
     @pytest.mark.parametrize("flags, problem", [
@@ -1730,15 +1741,17 @@ ONE_BYTE_PATH = [
 @pytest.mark.parametrize("command, flags, label", ONE_BYTE_PATH,
                          ids=[command for command, _, _ in ONE_BYTE_PATH])
 def test_stdout_gets_the_bytes_a_file_gets(tmp_path, command, flags, label):
-    # a Latin-1 stdout used to refuse the label (exit 1) that a file got as UTF-8
-    words = tmp_path / "слова.txt"
+    # a Latin-1 stdout used to refuse the label (exit 1) that a file got as UTF-8;
+    # the name is made from its UTF-8 bytes, which any filesystem encoding can hold
+    words = Path(os.fsdecode(bytes(tmp_path) + "/слова.txt".encode("utf-8")))
     words.write_text(WORDLIST, encoding="utf-8")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("the cat sat on the mat\n" * 20, encoding="utf-8")
     inputs = {"histogram": [words], "fit": [words], "entropy": [corpus], "implied": [words]}
     argv = ["-m", "wordlen.cli", command, *inputs.get(command, []), *flags]
     out = tmp_path / "out.csv"
-    latin1 = {"PYTHONIOENCODING": "latin-1"}
+    # UTF-8 mode decodes the UTF-8 name and label from argv; stdout stays Latin-1
+    latin1 = {"PYTHONIOENCODING": "latin-1", "PYTHONUTF8": "1"}
     to_file = run_python(*argv, "--out", out, env=latin1, text=False)
     to_stdout = run_python(*argv, "--out", "-", env=latin1, text=False)
     assert (to_file.returncode, to_stdout.returncode) == (0, 0), to_stdout.stderr
@@ -1770,19 +1783,77 @@ def test_unencodable_label_writes_nothing_to_stdout():
     assert proc.stderr.decode("ascii").splitlines() == [SURROGATE_ERROR]
 
 
+# an --out into a directory that does not exist
+MISSING_DIR_OUT = ["--out", "{tmp}/missing/out.csv"]
+
+
 @pytest.mark.parametrize("command, text, flags", [
     ("fit", "ab\ncd\n", []),  # fewer than 3 nonzero cells: a FitError
     ("histogram", "ok\nnaïve\n", ["--strict"]),  # a TokenizationError
+    # an OSError after a warning, which used to be written before the error line
+    pytest.param("entropy", "the cat sat on the mat", ["--max-order", "3", *MISSING_DIR_OUT],
+                 id="entropy-undersampled-missing-dir"),
+    pytest.param("predict", PROFILE_0_TO_3, MISSING_DIR_OUT,
+                 id="predict-undersampled-missing-dir"),
 ])
 def test_layer_errors_exit_1_in_one_line(tmp_path, command, text, flags):
     # an error raised inside a layer reaches stderr as one line
-    words = tmp_path / "words.txt"
-    words.write_text(text, encoding="utf-8")
+    source = tmp_path / "input.txt"
+    source.write_text(text, encoding="utf-8")
     proc = run_python("-c", "import sys; from wordlen.cli import main; sys.exit(main())",
-                      command, words, *flags)
+                      command, *{"predict": ["--profile"]}.get(command, []), source,
+                      *(flag.format(tmp=tmp_path) for flag in flags))
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"wordlen {command}: "), proc.stderr
+
+
+LOCALES = {
+    "default": {},
+    "latin-1": {"PYTHONIOENCODING": "latin-1"},
+    "C": {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"},
+}
+
+
+@pytest.mark.parametrize("env", LOCALES.values(), ids=LOCALES)
+def test_stderr_bytes_do_not_depend_on_the_locale(tmp_path, env):
+    # every stderr line is the text the program holds, written as UTF-8 with
+    # backslashreplace; the error line and the warnings used to follow the locale
+    words = tmp_path / "words.txt"
+    words.write_text("ok\nnaïve\n", encoding="utf-8")
+    proc = run_python("-m", "wordlen.cli", "histogram", words, "--strict", env=env, text=False)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (b"wordlen histogram: line 2: symbol '\xc3\xaf' not allowed inside "
+                           b"a word\n")
+    # the byte 0xff of this name reaches the program as the lone surrogate
+    # \udcff in every locale, which backslashreplace writes as its escape;
+    # the Cyrillic letters reach it as text, written as UTF-8, except where
+    # the locale decodes argv as ASCII and makes them lone surrogates too
+    profile = bytes(tmp_path) + "/профиль".encode("utf-8") + b"\xff.json"
+    Path(os.fsdecode(profile)).write_text(PROFILE_0_TO_3, encoding="utf-8")
+    held = ast.literal_eval(run_python("-c", "import sys; print(ascii(sys.argv[1]))", profile,
+                                       env=env).stdout)
+    proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile, env=env, text=False)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"length,")
+    assert proc.stderr == (f"wordlen predict: warning: order 3 is undersampled in {held}\n"
+                           .encode("utf-8", "backslashreplace"))
+    assert proc.stderr.endswith(b"\\udcff.json\n")
+
+
+def test_notes_follow_the_artifact_on_a_shared_stream(tmp_path):
+    # the warning used to be written before the artifact it is about; stdout
+    # is left buffered, as it is by default when it is not a terminal
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("the cat sat on the mat", encoding="utf-8")
+    proc = run_python("-c", "import os, sys; os.dup2(1, 2); from wordlen.cli import main; "
+                      "sys.exit(main())", "entropy", corpus, "--max-order", "3",
+                      env={"PYTHONUNBUFFERED": ""})
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["# label=c", "order,entropy_bits,windows,adequate"]
+    assert lines[-1] == ("wordlen entropy: warning: stream of 22 tokens cannot adequately "
+                         "sample order >= 1 over 27 symbols")
+    assert len(lines) == 7
 
 
 def test_layer_calls_go_through_cli_names(monkeypatch, model_wordlist, tmp_path):
