@@ -9,7 +9,11 @@ artifacts with their destinations (one for every command, and for ``fit`` a
 second with ``--curve-out``), and its notes, the warnings for stderr. No
 command writes to a stream. ``main`` alone writes: each artifact in order,
 in the one ``--format`` given, and then each note, or on a failure the one
-error line instead. Every stderr line is UTF-8 whatever the locale.
+error line instead. argparse's usage, ``--help`` and error text, the notes
+and the error line go through ``report._write_std``, as an artifact sent to
+stdout does, so every byte on stdout and stderr is UTF-8 whatever the
+locale, and a stdout that cannot be written ends the run with one error
+line and exit status 1.
 
 Only ``entropy`` and ``simulate`` load numpy: the layers import it inside
 the functions that compute with arrays. The commands call the layer
@@ -40,7 +44,9 @@ _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
 _Result = tuple[list[tuple[Artifact, str]], list[str]]
 
 
-def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, run, inventory: bool = True) -> None:
+    """The flags every subcommand takes, and ``run``, the ``_cmd_*`` that ``main`` calls."""
+    parser.set_defaults(run=run)
     if inventory:
         parser.add_argument(
             "--inventory",
@@ -56,8 +62,21 @@ def _add_common(parser: argparse.ArgumentParser, inventory: bool = True) -> None
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that writes through ``report._write_std``;
+    subparsers are made of the same class."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        # backslashreplace, as Python's own stderr: a lone surrogate from argv
+        # is written as its escape, and any other text as in a UTF-8 locale
+        try:  # as argparse: a missing or unwritable stream is passed over
+            report._write_std(file or sys.stderr, message.encode("utf-8", "backslashreplace"))
+        except (AttributeError, OSError):
+            pass
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wordlen",
         description="Distinct-word-length distributions and symbol entropies",
     )
@@ -66,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hist = sub.add_parser("histogram", help="distinct-word length histogram")
     p_hist.add_argument("wordlist", help="UTF-8 word list, one word per line")
     p_hist.add_argument("--max-length", type=_flag_whole, default=50)
-    _add_common(p_hist)
+    _add_common(p_hist, _cmd_histogram)
 
     p_fit = sub.add_parser("fit", help="fit the letter-probability length model")
     p_fit.add_argument("wordlist")
@@ -78,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop cells past the last nonzero observed length")
     p_fit.add_argument("--curve-out", default="",
                        help="also write the observed-vs-fitted curve to this path")
-    _add_common(p_fit)
+    _add_common(p_fit, _cmd_fit)
 
     p_ent = sub.add_parser("entropy", help="conditional entropy profile of a corpus")
     p_ent.add_argument("corpus", help="UTF-8 plain-text corpus")
     p_ent.add_argument("--max-order", type=_flag_whole, default=3)
     p_ent.add_argument("--label", default="")
-    _add_common(p_ent)
+    _add_common(p_ent, _cmd_entropy)
 
     p_pred = sub.add_parser(
         "predict", help="distinct-word counts implied by conditional entropies"
@@ -98,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit entropy value (with --length)")
     p_pred.add_argument("--length", type=_flag_whole, default=None)
     p_pred.add_argument("--label", default="")
-    _add_common(p_pred, inventory=False)
+    _add_common(p_pred, _cmd_predict, inventory=False)
 
     p_imp = sub.add_parser(
         "implied", help="entropies implied by distinct-word counts per length"
@@ -109,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="histogram CSV written by the histogram command")
     p_imp.add_argument("--max-length", type=_flag_whole, default=50)
     p_imp.add_argument("--label", default="")
-    _add_common(p_imp)
+    _add_common(p_imp, _cmd_implied)
     # left unset unless given, so that --histogram can refuse them
     p_imp.set_defaults(max_length=None, inventory=None)
 
@@ -123,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=simulate.MODES,
                        default="forced_first_letter")
     p_sim.add_argument("--max-length", type=_flag_whole, default=50)
-    _add_common(p_sim, inventory=False)
+    _add_common(p_sim, _cmd_simulate, inventory=False)
 
     return parser
 
@@ -220,16 +239,6 @@ def _cmd_simulate(args) -> _Result:
     return [(report.simulation_artifact(cfg, hist, mean), args.out)], []
 
 
-_COMMANDS = {
-    "histogram": _cmd_histogram,
-    "fit": _cmd_fit,
-    "entropy": _cmd_entropy,
-    "predict": _cmd_predict,
-    "implied": _cmd_implied,
-    "simulate": _cmd_simulate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     # No command makes a BLAS call, but OpenBLAS starts a worker thread when
     # numpy loads, and that thread busy-waits on the CPUs the command needs
@@ -242,21 +251,16 @@ def main(argv: list[str] | None = None) -> int:
         max_length = getattr(args, "max_length", None)  # None: implied left it unset
         if max_length is not None and _whole(max_length, "max_length", 1) > _MAX_LENGTH:
             raise ValueError(f"max_length must be <= {_MAX_LENGTH}")
-        outputs, lines = _COMMANDS[args.command](args)
+        outputs, lines = args.run(args)
         for artifact, out in outputs:
             report.write_artifact(artifact, args.format, out)
-        sys.stdout.flush()  # so that the artifacts come before the notes on a shared stream
         status = 0
     # InventoryError and TokenizationError are ValueErrors
     except (OSError, ValueError, lengthmodel.FitError) as err:
         lines, status = [str(err)], 1
-    if lines:
-        # backslashreplace, as Python's own stderr: a lone surrogate from argv
-        # is written as its escape, and any other text as in a UTF-8 locale
-        sys.stderr.flush()
-        sys.stderr.buffer.write("".join(f"wordlen {args.command}: {line}\n" for line in lines)
-                                .encode("utf-8", "backslashreplace"))
-        sys.stderr.flush()
+    if lines:  # encoded as argparse's text is, in _Parser
+        text = "".join(f"wordlen {args.command}: {line}\n" for line in lines)
+        report._write_std(sys.stderr, text.encode("utf-8", "backslashreplace"))
     return status
 
 

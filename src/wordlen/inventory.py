@@ -42,6 +42,19 @@ def read_utf8(path: str | Path) -> str:
         ) from None
 
 
+def read_json(path: str | Path, error: type[Exception] = ValueError):
+    """The value of a UTF-8 JSON input file.
+
+    A bad byte is reported as ``read_utf8`` reports it; text that is not
+    JSON raises ``error`` with the file's path and the parser's message.
+    """
+    text = read_utf8(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # also too many digits, or nesting too deep
+        raise error(f"{path}: not JSON: {err}") from None
+
+
 def _whole(value, name: str, least: int) -> int:
     """``value`` as an int, if it is an integer >= ``least``.
 
@@ -228,11 +241,7 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
 
         {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true}
     """
-    text = read_utf8(path)
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as err:  # also too many digits, or nesting too deep
-        raise InventoryError(f"{path}: not JSON: {err}") from None
+    raw = read_json(path, InventoryError)
     if not isinstance(raw, dict) or "letters" not in raw:
         raise InventoryError(f"{path}: expected an object with a 'letters' list")
     letters, separator = raw["letters"], raw.get("separator", " ")

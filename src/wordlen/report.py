@@ -12,7 +12,11 @@ its destination is opened, and the same bytes go to a file or to stdout
 whatever the locale or ``PYTHONIOENCODING``; an artifact that cannot be
 encoded (a label holding a lone surrogate, as Python reads a non-UTF-8 byte
 of argv or of a file name) is refused with the codec's message and nothing
-is written.
+is written. ``_write_std`` is the package's one writer to stdout and
+stderr: the artifacts sent to ``-`` go through it, and so do the notes, the
+error line and argparse's usage, help and error text that ``cli`` writes.
+A failed write there is raised as an ``OSError`` once, with nothing left
+for the exit flush to fail on.
 
 ``WordLengthHistogram`` lives here, beside the artifacts that write and
 read it, and holds Python ints, so a histogram CSV is read without numpy.
@@ -22,13 +26,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bridge, lengthmodel
-from .inventory import _read_whole, _real, _whole, read_utf8
+from .inventory import _read_whole, _real, _whole, read_json, read_utf8
 
 if TYPE_CHECKING:
     from .ngram import EntropyProfile
@@ -124,10 +129,34 @@ def write_artifact(artifact: Artifact, fmt: str, out: str | Path) -> None:
     """
     data = (artifact.to_json() if fmt == "json" else artifact.to_csv()).encode("utf-8")
     if str(out) == "-":
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        _write_std(sys.stdout, data)
     else:
         Path(out).write_bytes(data)
+
+
+def _write_std(stream, data: bytes) -> None:
+    """Write ``data`` to ``stream``, ``sys.stdout`` or ``sys.stderr``, after
+    the text its text layer holds, and flush it out.
+
+    A write that fails points the stream's descriptor, where it has one, at
+    the null device before the error is raised, as the Python docs' note on
+    SIGPIPE does, so that the flush at exit has nothing left to fail on.
+    """
+    try:
+        stream.flush()
+        stream.buffer.write(data)
+        stream.flush()
+    except OSError:
+        try:
+            fd = stream.fileno()
+        except (OSError, ValueError):  # io.UnsupportedOperation: no descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)  # fd itself, if it was closed
+            if devnull != fd:
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        raise
 
 
 def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> Artifact:
@@ -287,11 +316,7 @@ def profile_artifact(profile: EntropyProfile, label: str = "") -> Artifact:
 
 def read_profile_json(path: str | Path) -> list[tuple[int, float, bool | None]]:
     """(order, entropy, adequate or None) entries of a saved entropy-profile JSON."""
-    text = read_utf8(path)
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as err:  # also too many digits, or nesting too deep
-        raise ValueError(f"{path}: not JSON: {err}") from None
+    raw = read_json(path)
     try:
         fields = [(o["order"], o["entropy_bits"], o) for o in raw["orders"]]
     except (KeyError, TypeError) as err:

@@ -1831,13 +1831,98 @@ def test_stderr_bytes_do_not_depend_on_the_locale(tmp_path, env):
     # the locale decodes argv as ASCII and makes them lone surrogates too
     profile = bytes(tmp_path) + "/профиль".encode("utf-8") + b"\xff.json"
     Path(os.fsdecode(profile)).write_text(PROFILE_0_TO_3, encoding="utf-8")
-    held = ast.literal_eval(run_python("-c", "import sys; print(ascii(sys.argv[1]))", profile,
-                                       env=env).stdout)
     proc = run_python("-m", "wordlen.cli", "predict", "--profile", profile, env=env, text=False)
     assert proc.returncode == 0 and proc.stdout.startswith(b"length,")
-    assert proc.stderr == (f"wordlen predict: warning: order 3 is undersampled in {held}\n"
-                           .encode("utf-8", "backslashreplace"))
+    assert proc.stderr == (f"wordlen predict: warning: order 3 is undersampled in "
+                           f"{held_argument(profile, env)}\n".encode("utf-8", "backslashreplace"))
     assert proc.stderr.endswith(b"\\udcff.json\n")
+    # argparse's own text used to follow the locale: a Latin-1 stderr wrote
+    # this digit as '\u0665', not as its UTF-8 bytes d9 a5; argparse quotes
+    # it with repr, which writes the lone surrogates of the C locale as their
+    # escapes
+    proc = run_python("-m", "wordlen.cli", "histogram", words, "--max-length", "٥", env=env,
+                      text=False)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.endswith(f"invalid int value: {held_argument('٥', env)!r}\n"
+                                .encode("utf-8", "backslashreplace"))
+
+
+def held_argument(arg, env):
+    """``arg`` as a child started with ``env`` decodes it from argv."""
+    return ast.literal_eval(run_python("-c", "import sys; print(ascii(sys.argv[1]))", arg,
+                                       env=env).stdout)
+
+
+def test_failed_stdout_exits_1_in_one_line(tmp_path):
+    # the flush at exit used to fail again after the error line, and print
+    # "Exception ignored" and the OSError a second time, with exit status 120;
+    # stdout is left buffered, as it is by default when it is not a terminal
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    words = tmp_path / "words.txt"
+    words.write_text(WORDLIST, encoding="utf-8")
+    proc = run_python("-c", "import os, sys; os.dup2(os.open('/dev/full', os.O_WRONLY), 1); "
+                      "from wordlen.cli import main; sys.exit(main())", "histogram", words,
+                      env={"PYTHONUNBUFFERED": ""})
+    assert (proc.returncode, proc.stderr) == (
+        1, "wordlen histogram: [Errno 28] No space left on device\n")
+
+
+HELP = b"""\
+usage: wordlen [-h] {histogram,fit,entropy,predict,implied,simulate} ...
+
+Distinct-word-length distributions and symbol entropies
+
+positional arguments:
+  {histogram,fit,entropy,predict,implied,simulate}
+    histogram           distinct-word length histogram
+    fit                 fit the letter-probability length model
+    entropy             conditional entropy profile of a corpus
+    predict             distinct-word counts implied by conditional entropies
+    implied             entropies implied by distinct-word counts per length
+    simulate            bag-model word generation
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_help_writes_the_same_bytes():
+    proc = run_python("-m", "wordlen.cli", "--help", env={"COLUMNS": "80"}, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, HELP, b"")
+
+
+@pytest.mark.parametrize("redirect", [
+    "os.close(2)",
+    # the exit flush used to fail again on the usage text, with exit status 120
+    "os.dup2(os.open('/dev/full', os.O_WRONLY), 2)",
+], ids=["closed", "full"])
+def test_usage_error_exits_2_whatever_stderr_is(tmp_path, redirect):
+    if "full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    words = tmp_path / "words.txt"
+    words.write_text(WORDLIST, encoding="utf-8")
+    proc = run_python("-c", f"import os, sys; {redirect}; from wordlen.cli import main; "
+                      "sys.exit(main())", "histogram", words, "--max-length", "x",
+                      env={"PYTHONUNBUFFERED": ""})
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@pytest.mark.parametrize("flag, body, offset", [
+    ("--profile", b'{"orders": [\xe9]}', 12),
+    ("--inventory", b'{"letters": ["\xe9"]}', 14),
+], ids=["profile", "inventory"])
+def test_json_input_that_is_not_utf8_fails_as_any_input(tmp_path, flag, body, offset):
+    # a bad byte is reported by the UTF-8 reader, not as text that is not JSON
+    source = tmp_path / "input.json"
+    source.write_bytes(body)
+    words = tmp_path / "words.txt"
+    words.write_text(WORDLIST, encoding="utf-8")
+    command = ["predict"] if flag == "--profile" else ["histogram", words]
+    proc = run_python("-m", "wordlen.cli", *command, flag, source)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        f"wordlen {command[0]}: {source}: not UTF-8: cannot decode byte 0xe9 at offset {offset}"]
 
 
 def test_notes_follow_the_artifact_on_a_shared_stream(tmp_path):
