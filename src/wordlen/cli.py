@@ -13,7 +13,9 @@ error line instead. argparse's usage, ``--help`` and error text, the notes
 and the error line go through ``report._write_std``, as an artifact sent to
 stdout does, so every byte on stdout and stderr is UTF-8 whatever the
 locale, and a stdout that cannot be written ends the run with one error
-line and exit status 1.
+line and exit status 1, even when it is ``--help`` that it cannot take.
+Other argparse text that cannot be written is passed over, as argparse
+does.
 
 Only ``entropy`` and ``simulate`` load numpy: the layers import it inside
 the functions that compute with arrays. The commands call the layer
@@ -69,10 +71,13 @@ class _Parser(argparse.ArgumentParser):
     def _print_message(self, message: str, file=None) -> None:
         # backslashreplace, as Python's own stderr: a lone surrogate from argv
         # is written as its escape, and any other text as in a UTF-8 locale
-        try:  # as argparse: a missing or unwritable stream is passed over
+        try:
             report._write_std(file or sys.stderr, message.encode("utf-8", "backslashreplace"))
-        except (AttributeError, OSError):
+        except AttributeError:  # as argparse: a missing stream is passed over,
             pass
+        except OSError:  # and so is an unwritable one, but for help to an open stdout
+            if file and file is sys.stdout:
+                raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,8 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     # while it starts up. Set here rather than on import, so a library
     # caller's BLAS is left alone.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
+    prog = "wordlen"  # and the command, once it is parsed
     try:
+        args = build_parser().parse_args(argv)  # an OSError: help that stdout cannot take
+        prog = f"wordlen {args.command}"
         # checked before any input is read or any word is drawn
         max_length = getattr(args, "max_length", None)  # None: implied left it unset
         if max_length is not None and _whole(max_length, "max_length", 1) > _MAX_LENGTH:
@@ -259,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, lengthmodel.FitError) as err:
         lines, status = [str(err)], 1
     if lines:  # encoded as argparse's text is, in _Parser
-        text = "".join(f"wordlen {args.command}: {line}\n" for line in lines)
+        text = "".join(f"{prog}: {line}\n" for line in lines)
         report._write_std(sys.stderr, text.encode("utf-8", "backslashreplace"))
     return status
 

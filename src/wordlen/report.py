@@ -15,8 +15,10 @@ of argv or of a file name) is refused with the codec's message and nothing
 is written. ``_write_std`` is the package's one writer to stdout and
 stderr: the artifacts sent to ``-`` go through it, and so do the notes, the
 error line and argparse's usage, help and error text that ``cli`` writes.
-A failed write there is raised as an ``OSError`` once, with nothing left
-for the exit flush to fail on.
+It writes each one's bytes to the unbuffered layer under the stream's text
+layer, so a failed write is raised there once as an ``OSError``, with
+nothing left in a buffer for the exit flush to fail on, and the stream's
+descriptor is left where it was.
 
 ``WordLengthHistogram`` lives here, beside the artifacts that write and
 read it, and holds Python ints, so a histogram CSV is read without numpy.
@@ -24,9 +26,9 @@ read it, and holds Python ints, so a histogram CSV is read without numpy.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,27 +138,23 @@ def write_artifact(artifact: Artifact, fmt: str, out: str | Path) -> None:
 
 def _write_std(stream, data: bytes) -> None:
     """Write ``data`` to ``stream``, ``sys.stdout`` or ``sys.stderr``, after
-    the text its text layer holds, and flush it out.
+    the text its text layer holds.
 
-    A write that fails points the stream's descriptor, where it has one, at
-    the null device before the error is raised, as the Python docs' note on
-    SIGPIPE does, so that the flush at exit has nothing left to fail on.
+    The bytes go to the unbuffered layer under the text layer (``raw`` of a
+    buffered one, or the buffer itself where it has no ``raw``), one partial
+    write after another, so a write that fails is raised here and nothing is
+    left in a buffer for the flush at exit to fail on again. Where the layer
+    returns None, as a full non-blocking descriptor does, this raises
+    ``BlockingIOError``, as a buffered writer would.
     """
-    try:
-        stream.flush()
-        stream.buffer.write(data)
-        stream.flush()
-    except OSError:
-        try:
-            fd = stream.fileno()
-        except (OSError, ValueError):  # io.UnsupportedOperation: no descriptor
-            fd = None
-        if fd is not None:
-            devnull = os.open(os.devnull, os.O_WRONLY)  # fd itself, if it was closed
-            if devnull != fd:
-                os.dup2(devnull, fd)
-                os.close(devnull)
-        raise
+    stream.flush()
+    layer = getattr(stream.buffer, "raw", stream.buffer)
+    view = memoryview(data)
+    while view:
+        written = layer.write(view)
+        if written is None:
+            raise BlockingIOError(errno.EAGAIN, "write could not complete without blocking")
+        view = view[written:]
 
 
 def histogram_artifact(hist: WordLengthHistogram, source: str = "wordlist") -> Artifact:

@@ -1,5 +1,6 @@
 import ast
 import collections
+import errno
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import pytest
 import wordlen
 from wordlen import cli, lengthmodel, simulate
 from wordlen.cli import main
-from wordlen.report import Artifact, WordLengthHistogram, read_histogram_csv
+from wordlen.report import Artifact, WordLengthHistogram, _write_std, read_histogram_csv
 
 SRC = str(Path(wordlen.__file__).resolve().parents[1])
 # read when numpy loads; a child sees them only where a test sets them
@@ -27,7 +29,7 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def run_python(*args, env=None, text=True):
+def run_python(*args, env=None, text=True, timeout=None):
     """A fresh interpreter that imports this checkout's ``wordlen``, with the
     variables in ``env`` added and no BLAS thread count inherited.
 
@@ -40,7 +42,8 @@ def run_python(*args, env=None, text=True):
             for a in args]
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           encoding="utf-8" if text else None,
-                          env={**inherited, "PYTHONPATH": SRC, **(env or {})}, check=False)
+                          env={**inherited, "PYTHONPATH": SRC, **(env or {})}, check=False,
+                          timeout=timeout)
 
 
 def cli_peak_rss(*argv):
@@ -1853,19 +1856,103 @@ def held_argument(arg, env):
                                        env=env).stdout)
 
 
-def test_failed_stdout_exits_1_in_one_line(tmp_path):
+FULL_STDOUT = "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)"
+# a pipe of the child's own that nothing reads, which a write does not wait on
+UNREAD_PIPE = "os.dup2(os.pipe()[1], 1); os.set_blocking(1, False)"
+NO_SPACE = "[Errno 28] No space left on device"
+
+
+def pipe_size():
+    """The capacity of a new pipe, or None where ``fcntl`` cannot tell it."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        return None
+    read_end, write_end = os.pipe()
+    try:
+        return fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("redirect, unbuffered, argv, error", [
     # the flush at exit used to fail again after the error line, and print
     # "Exception ignored" and the OSError a second time, with exit status 120;
     # stdout is left buffered, as it is by default when it is not a terminal
+    (FULL_STDOUT, "", ["histogram", "{words}"], f"wordlen histogram: {NO_SPACE}"),
+    (FULL_STDOUT, "1", ["histogram", "{words}"], f"wordlen histogram: {NO_SPACE}"),
+    # help that stdout could not take used to be passed over, with exit status 0
+    (FULL_STDOUT, "", ["--help"], f"wordlen: {NO_SPACE}"),
+    (FULL_STDOUT, "", ["histogram", "--help"], f"wordlen: {NO_SPACE}"),
+    # 10,000 rows are more than the pipe holds; a write that takes nothing
+    # without blocking must fail rather than be retried
+    (UNREAD_PIPE, "", ["histogram", "{words}", "--max-length", "10000"],
+     "wordlen histogram: [Errno 11] write could not complete without blocking"),
+], ids=["buffered", "unbuffered", "help", "command-help", "non-blocking-pipe"])
+def test_failed_stdout_exits_1_in_one_line(tmp_path, redirect, unbuffered, argv, error):
+    words = tmp_path / "words.txt"
+    words.write_text(WORDLIST, encoding="utf-8")
+    argv = [arg.format(words=words) for arg in argv]
+    if redirect == FULL_STDOUT and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if redirect == UNREAD_PIPE:
+        artifact = tmp_path / "artifact.csv"
+        assert run([*argv, "--out", artifact]) == 0
+        capacity = pipe_size()
+        if capacity is None or capacity >= artifact.stat().st_size:
+            pytest.skip(f"a pipe holds {capacity} bytes, the artifact "
+                        f"{artifact.stat().st_size}")
+    proc = run_python("-c", f"import os, sys; {redirect}; from wordlen.cli import main; "
+                      "sys.exit(main())", *argv, env={"PYTHONUNBUFFERED": unbuffered},
+                      timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, error + "\n")
+
+
+def test_failed_write_leaves_the_descriptor_where_it_was(tmp_path):
+    # the writer used to point fd 1 at the null device after a failed write,
+    # and leave it there for the process that called main
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     words = tmp_path / "words.txt"
     words.write_text(WORDLIST, encoding="utf-8")
-    proc = run_python("-c", "import os, sys; os.dup2(os.open('/dev/full', os.O_WRONLY), 1); "
-                      "from wordlen.cli import main; sys.exit(main())", "histogram", words,
-                      env={"PYTHONUNBUFFERED": ""})
-    assert (proc.returncode, proc.stderr) == (
-        1, "wordlen histogram: [Errno 28] No space left on device\n")
+    proc = run_python("-c", f"import os, sys; {FULL_STDOUT}; from wordlen.cli import main; "
+                      "before = os.fstat(1); status = main(['histogram', sys.argv[1]]); "
+                      "after = os.fstat(1); print(status, *(getattr(after, key) == "
+                      "getattr(before, key) for key in ('st_dev', 'st_ino', 'st_rdev')), "
+                      "file=sys.stderr)", words, env={"PYTHONUNBUFFERED": ""})
+    assert (proc.returncode, proc.stderr.splitlines()) == (
+        0, [f"wordlen histogram: {NO_SPACE}", "1 True True True"])
+
+
+def test_std_writer_writes_every_byte_to_the_raw_layer():
+    log = []
+
+    def take_7(data):  # a raw layer that takes at most 7 bytes a call
+        log.append(bytes(data[:7]))
+        return len(log[-1])
+
+    stream = SimpleNamespace(flush=lambda: log.append("flush"),
+                             buffer=SimpleNamespace(raw=SimpleNamespace(write=take_7)))
+    data = bytes(range(256)) * 3
+    _write_std(stream, data)
+    assert log[0] == "flush" and b"".join(log[1:]) == data
+    assert {len(chunk) for chunk in log[1:-1]} == {7}
+
+
+def test_std_writer_fails_where_the_raw_layer_would_block():
+    # a non-blocking descriptor that is full takes nothing, and its raw
+    # layer returns None; retrying would spin until a reader came
+    calls = []
+
+    def take_nothing(data):
+        calls.append(data)
+        assert len(calls) == 1, "a write that took nothing was retried"
+
+    stream = SimpleNamespace(flush=lambda: None,
+                             buffer=SimpleNamespace(raw=SimpleNamespace(write=take_nothing)))
+    with pytest.raises(BlockingIOError) as raised:
+        _write_std(stream, b"x")
+    assert raised.value.errno == errno.EAGAIN
 
 
 HELP = b"""\
