@@ -14,6 +14,9 @@ or JSON reports from each layer.
 No module imports numpy when it is imported: the functions that compute
 with arrays import it when they run. So ``import wordlen`` loads every
 layer but not numpy, and neither do the CLI commands that do no array work.
+No module imports the standard library's data classes either: the record
+types are plain classes on ``inventory._Record``, so no process loads
+``inspect`` or builds the classes at start.
 """
 
 from .bridge import entropy_from_p, implied_entropy, predicted_distinct_words

@@ -18,7 +18,9 @@ Other argparse text that cannot be written is passed over, as argparse
 does.
 
 Only ``entropy`` and ``simulate`` load numpy: the layers import it inside
-the functions that compute with arrays. The commands call the layer
+the functions that compute with arrays. No module imports the standard
+library's data classes, or ``inspect``, which they load: the record types
+are plain classes. The commands call the layer
 functions ``load_wordlist``, ``word_length_histogram``, ``load_corpus`` and
 ``entropy_profile`` by their names in this module, looked up at each call,
 so replacing one here (to trace or count calls) reaches every command.

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .inventory import InventoryError, SymbolInventory, _whole
+from .inventory import InventoryError, SymbolInventory, _Record, _whole
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -54,8 +53,7 @@ def _check_symbols(symbols, symbol_count) -> tuple[np.ndarray, int]:
     return sym, base
 
 
-@dataclass(frozen=True)
-class SymbolStream:
+class SymbolStream(_Record):
     """Letters and separators of a corpus as one index sequence.
 
     The separator index is ``alphabet_size - 1``; runs of separators are
@@ -70,10 +68,9 @@ class SymbolStream:
     def token_count(self) -> int:
         return int(self.symbols.size)
 
-    def __post_init__(self) -> None:
-        sym, base = _check_symbols(self.symbols, self.alphabet_size)
-        object.__setattr__(self, "symbols", sym)
-        object.__setattr__(self, "alphabet_size", base)
+    def __init__(self, symbols: np.ndarray, alphabet_size: int) -> None:
+        sym, base = _check_symbols(symbols, alphabet_size)
+        vars(self).update(symbols=sym, alphabet_size=base)
         # slices overlap by one symbol, so no full-length mask is built
         for lo in range(0, sym.size - 1, _BLOCK_CHARS):
             part = sym[lo : lo + _BLOCK_CHARS + 1] == base - 1

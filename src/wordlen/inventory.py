@@ -18,7 +18,6 @@ import numbers
 import operator
 import sys
 import unicodedata
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -125,8 +124,45 @@ def _real(value, name: str, low: float, high: float = math.inf, closed: str = "[
     raise ValueError(f"{name} must be {bound}, got {x}")
 
 
-@dataclass(frozen=True)
-class SymbolInventory:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass annotates its fields in order; its ``__init__`` checks its
+    arguments and stores each field with ``vars(self).update``. ``repr``
+    shows every field, ``==`` and ``hash`` compare every field but a
+    ``label`` or ``name``, which only names the record, and assigning or
+    deleting an attribute raises ``AttributeError``. There are no
+    ``__slots__``, so pickle and copy restore ``__dict__`` as it was. The
+    standard library's data classes would do the same, but importing them
+    loads ``inspect`` and building each class costs every process at start.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._compared = tuple(f for f in cls._fields if f not in ("label", "name"))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._compared)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class SymbolInventory(_Record):
     """Ordered letter symbols plus one separator symbol, in normal form.
 
     Letter indices run 0..len(letters)-1 in the given order; the separator
@@ -147,9 +183,9 @@ class SymbolInventory:
     """
 
     letters: tuple[str, ...]
-    separator: str = " "
-    case_fold: bool = True
-    name: str = field(default="", compare=False)
+    separator: str
+    case_fold: bool
+    name: str
 
     @property
     def symbol_count(self) -> int:
@@ -172,9 +208,11 @@ class SymbolInventory:
         # silently merge it with an existing digraph.
         return text.lower() if self.case_fold else text
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(map(self.normalize, self.letters)))
-        object.__setattr__(self, "separator", self.normalize(self.separator))
+    def __init__(self, letters, separator: str = " ", case_fold: bool = True,
+                 name: str = "") -> None:
+        vars(self).update(case_fold=case_fold, name=name)  # normalize reads case_fold
+        vars(self).update(letters=tuple(map(self.normalize, letters)),
+                          separator=self.normalize(separator))
         if not self.letters:
             raise InventoryError("inventory needs at least one letter")
         seen: set[str] = set()
@@ -239,20 +277,24 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
 
     Expected shape::
 
-        {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true}
+        {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true, "name": "x"}
+
+    Only ``letters`` is required; ``name`` defaults to the file's stem.
     """
     raw = read_json(path, InventoryError)
     if not isinstance(raw, dict) or "letters" not in raw:
         raise InventoryError(f"{path}: expected an object with a 'letters' list")
     letters, separator = raw["letters"], raw.get("separator", " ")
-    case_fold = raw.get("case_fold", True)
+    case_fold, name = raw.get("case_fold", True), raw.get("name", Path(path).stem)
     if not isinstance(letters, (list, str)) or not all(isinstance(s, str) for s in letters):
         raise InventoryError(f"{path}: 'letters' must be a list of strings")
     if not isinstance(separator, str):
         raise InventoryError(f"{path}: 'separator' must be a string")
+    if not isinstance(name, str):  # str(None) would name it "None"
+        raise InventoryError(f"{path}: 'name' must be a string")
     if not isinstance(case_fold, bool):  # bool("false") would be True
         raise InventoryError(f"{path}: 'case_fold' must be true or false")
-    return SymbolInventory(letters, separator, case_fold, str(raw.get("name", Path(path).stem)))
+    return SymbolInventory(letters, separator, case_fold, name)
 
 
 def resolve_inventory(spec: str) -> SymbolInventory:

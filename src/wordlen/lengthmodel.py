@@ -25,10 +25,9 @@ out there should be treated as upper bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .inventory import _real, _whole
+from .inventory import _real, _Record, _whole
 
 if TYPE_CHECKING:
     from .report import WordLengthHistogram
@@ -131,8 +130,7 @@ def chi_square_p_value(stat: float, df: int) -> float:
     return math.fsum([tail, *(term(i + h) for i in range(int(a - h)))])
 
 
-@dataclass(frozen=True)
-class FittedLengthModel:
+class FittedLengthModel(_Record):
     """Fit result: the letter probability plus goodness-of-fit numbers."""
 
     symbols: int
@@ -141,11 +139,12 @@ class FittedLengthModel:
     df: int
     p_value: float
 
-    def __post_init__(self) -> None:
-        _check_domain(self.symbols, self.p)
-        object.__setattr__(self, "df", _whole(self.df, "df", 1))
-        object.__setattr__(self, "chi_square", _real(self.chi_square, "chi_square", 0.0))
-        object.__setattr__(self, "p_value", _real(self.p_value, "p_value", 0.0, 1.0, "[]"))
+    def __init__(self, symbols: int, p: float, chi_square: float, df: int,
+                 p_value: float) -> None:
+        _check_domain(symbols, p)
+        vars(self).update(symbols=symbols, p=p, df=_whole(df, "df", 1),
+                          chi_square=_real(chi_square, "chi_square", 0.0),
+                          p_value=_real(p_value, "p_value", 0.0, 1.0, "[]"))
 
 
 def _golden_minimize(f, lo: float, hi: float, tol: float) -> float:

@@ -31,11 +31,10 @@ so the adjacent-symbol mutual information H_1 - H_2 is never negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .ingest import SymbolStream, _check_symbols
-from .inventory import SymbolInventory, _whole
+from .inventory import SymbolInventory, _Record, _whole
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,8 +146,7 @@ def _entropy(counts: np.ndarray) -> float:
     return float(0.0 - h.sum())
 
 
-@dataclass(frozen=True)
-class EntropyProfile:
+class EntropyProfile(_Record):
     """Conditional entropies H_0..H_k in bits per symbol.
 
     ``entropies[0]`` is log2(L); ``entropies[n]`` never exceeds
@@ -161,13 +159,14 @@ class EntropyProfile:
     sample_tokens: int
     inventory_symbols: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, entropies: np.ndarray, sample_tokens: int, inventory_symbols: int) -> None:
         import numpy as np
 
-        for name, least in (("sample_tokens", 0), ("inventory_symbols", 2)):
-            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
-        h = np.asarray(self.entropies, dtype=float)
-        object.__setattr__(self, "entropies", h)
+        sample_tokens = _whole(sample_tokens, "sample_tokens", 0)
+        inventory_symbols = _whole(inventory_symbols, "inventory_symbols", 2)
+        h = np.asarray(entropies, dtype=float)
+        vars(self).update(entropies=h, sample_tokens=sample_tokens,
+                          inventory_symbols=inventory_symbols)
         if h.size == 0:
             raise ValueError("a profile needs at least the order-0 entropy")
         if h[0] != math.log2(self.inventory_symbols):

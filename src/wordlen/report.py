@@ -30,12 +30,11 @@ import errno
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bridge, lengthmodel
-from .inventory import _read_whole, _real, _whole, read_json, read_utf8
+from .inventory import _read_whole, _real, _Record, _whole, read_json, read_utf8
 
 if TYPE_CHECKING:
     from .ngram import EntropyProfile
@@ -47,8 +46,7 @@ DEFAULT_SCALE_A = 7.45
 ENTROPY_COLUMNS = frozenset({"entropy_bits"})
 
 
-@dataclass(frozen=True)
-class WordLengthHistogram:
+class WordLengthHistogram(_Record):
     """Word counts per length 1..max_length, plus an overflow tally.
 
     ``counts[N-1]`` is the number of words of exactly N symbols, a Python
@@ -58,13 +56,13 @@ class WordLengthHistogram:
 
     counts: tuple[int, ...]
     max_length: int
-    overflow: int = 0
-    label: str = field(default="", compare=False)
+    overflow: int
+    label: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(_whole(c, "count", 0) for c in self.counts))
-        object.__setattr__(self, "max_length", _whole(self.max_length, "max_length", 1))
-        object.__setattr__(self, "overflow", _whole(self.overflow, "overflow", 0))
+    def __init__(self, counts, max_length: int, overflow: int = 0, label: str = "") -> None:
+        vars(self).update(counts=tuple(_whole(c, "count", 0) for c in counts),
+                          max_length=_whole(max_length, "max_length", 1),
+                          overflow=_whole(overflow, "overflow", 0), label=label)
         if len(self.counts) != self.max_length:
             raise ValueError("counts must have one cell per length 1..max_length")
 
@@ -78,12 +76,15 @@ class WordLengthHistogram:
         return sum(self.counts) + self.overflow
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(_Record):
     payload: dict
     comments: tuple[str, ...]
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+    def __init__(self, payload: dict, comments: tuple[str, ...], header: tuple[str, ...],
+                 rows: tuple[tuple, ...]) -> None:
+        vars(self).update(payload=payload, comments=comments, header=header, rows=rows)
 
     def to_csv(self) -> str:
         """The CSV rendering; a comment or text cell that would break the

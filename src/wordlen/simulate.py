@@ -28,10 +28,9 @@ words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .inventory import _real, _whole
+from .inventory import _real, _Record, _whole
 from .report import WordLengthHistogram
 
 if TYPE_CHECKING:
@@ -44,20 +43,20 @@ _BLOCK_TRIALS = 1 << 16
 MAX_TRIALS = 1 << 28
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     p: float
     symbols: int
     word_target: int
     seed: int
-    mode: str = "forced_first_letter"
+    mode: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _real(self.p, "p", 0.0, 1.0, "()"))
+    def __init__(self, p: float, symbols: int, word_target: int, seed: int,
+                 mode: str = "forced_first_letter") -> None:
         # numpy integers pass and are stored as ints
-        for field, name, least in (("symbols", "symbol count", 2), ("word_target", "word_target", 1),
-                                   ("seed", "seed", 0)):
-            object.__setattr__(self, field, _whole(getattr(self, field), name, least))
+        vars(self).update(p=_real(p, "p", 0.0, 1.0, "()"),
+                          symbols=_whole(symbols, "symbol count", 2),
+                          word_target=_whole(word_target, "word_target", 1),
+                          seed=_whole(seed, "seed", 0), mode=mode)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         # a word takes 1/(1-p) trials; reject_empty keeps a fraction p of them

@@ -1410,6 +1410,7 @@ class TestInventoryOption:
     @pytest.mark.parametrize("spec, problem", [
         ({"letters": ["a", 1]}, "'letters' must be a list of strings"),
         ({"letters": ["a", "b"], "separator": 5}, "'separator' must be a string"),
+        ({"letters": ["a", "b"], "name": None}, "'name' must be a string"),
     ])
     def test_mistyped_inventory_file_fails_in_one_line(self, tmp_path, spec, problem):
         inv = tmp_path / "inv.json"
@@ -1545,14 +1546,27 @@ def test_predict_loads_neither_numpy_nor_scipy(tmp_path):
     for argv in (["--entropy-bits", "3.56", "--length", "2"], ["--profile", profile]):
         loaded = packages_loaded_by("predict", *argv, "--out", tmp_path / "out.csv")
         assert "wordlen" in loaded
-        assert not loaded & {"numpy", "scipy"}, argv
+        assert not loaded & {"numpy", "scipy", "dataclasses", "inspect"}, argv
 
 
 def test_implied_from_histogram_loads_no_numpy(tmp_path):
     hist = tmp_path / "h.csv"
     hist.write_text("length,count\n1,5\n2,7\noverflow,0\n", encoding="utf-8")
     loaded = packages_loaded_by("implied", "--histogram", hist, "--out", tmp_path / "i.csv")
-    assert "wordlen" in loaded and "numpy" not in loaded
+    assert "wordlen" in loaded and not loaded & {"numpy", "dataclasses", "inspect"}
+
+
+def test_plain_python_commands_load_neither_dataclasses_nor_inspect(model_wordlist, tmp_path):
+    # the record classes are plain classes: building dataclasses would cost
+    # each process the import of dataclasses and inspect, and the decoration
+    proc = run_python("-c", "import sys, wordlen; print(sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert not set(ast.literal_eval(proc.stdout)) & {"dataclasses", "inspect"}
+    out = tmp_path / "out.csv"
+    for argv in (["histogram", model_wordlist], ["fit", model_wordlist],
+                 ["implied", model_wordlist], ["predict", "--entropy-bits", "3.56", "--length", "2"]):
+        loaded = packages_loaded_by(*argv, "--out", out)
+        assert "wordlen" in loaded and not loaded & {"dataclasses", "inspect"}, argv
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are read from /proc")

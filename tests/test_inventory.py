@@ -116,6 +116,7 @@ def test_inventory_file_roundtrip(tmp_path):
     inv = load_inventory_file(path)
     assert inv.symbol_count == 4
     assert inv.letters == ("a", "b", "ch")
+    assert inv.name == "inv"  # a file that names no inventory gives its stem
     assert resolve_inventory(str(path)) == inv
 
 
@@ -131,11 +132,14 @@ def test_inventory_file_must_have_letters(tmp_path):
     {"letters": 5},
     {"letters": ["a", "b"], "separator": 5},
     {"letters": ["a", "b"], "case_fold": "false"},
+    {"letters": ["a", "b"], "name": None},
+    {"letters": ["a", "b"], "name": 5},
 ])
 def test_inventory_file_types_checked(tmp_path, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    with pytest.raises(InventoryError, match="bad.json: '(letters|separator|case_fold)' must"):
+    with pytest.raises(InventoryError,
+                       match="bad.json: '(letters|separator|case_fold|name)' must"):
         load_inventory_file(path)
 
 

@@ -1,8 +1,13 @@
+import copy
+import pickle
 import sys
 
+import numpy as np
 import pytest
 
 import wordlen
+from wordlen.lengthmodel import FittedLengthModel
+from wordlen.report import Artifact
 
 from test_cli import run_python
 
@@ -46,3 +51,58 @@ def test_histogram_type_loads_no_numpy():
                             "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+# each record class, its fields' values in order, the defaults of the fields
+# that have one, and the repr of the record built from those values
+RECORDS = [
+    (wordlen.SymbolInventory,
+     {"letters": ("a", "ch"), "separator": "_", "case_fold": False, "name": "x"},
+     {"separator": " ", "case_fold": True, "name": ""},
+     "SymbolInventory(letters=('a', 'ch'), separator='_', case_fold=False, name='x')"),
+    (wordlen.WordLengthHistogram,
+     {"counts": (1, 2), "max_length": 2, "overflow": 3, "label": "w"},
+     {"overflow": 0, "label": ""},
+     "WordLengthHistogram(counts=(1, 2), max_length=2, overflow=3, label='w')"),
+    (Artifact,
+     {"payload": {"n": 1}, "comments": ("c",), "header": ("n",), "rows": ((1,),)}, {},
+     "Artifact(payload={'n': 1}, comments=('c',), header=('n',), rows=((1,),))"),
+    (FittedLengthModel,
+     {"symbols": 27, "p": 0.8, "chi_square": 1.5, "df": 3, "p_value": 0.5}, {},
+     "FittedLengthModel(symbols=27, p=0.8, chi_square=1.5, df=3, p_value=0.5)"),
+    (wordlen.SimulationConfig,
+     {"p": 0.5, "symbols": 27, "word_target": 10, "seed": 1, "mode": "reject_empty"},
+     {"mode": "forced_first_letter"},
+     "SimulationConfig(p=0.5, symbols=27, word_target=10, seed=1, mode='reject_empty')"),
+    (wordlen.EntropyProfile,
+     {"entropies": [2.0, 1.0], "sample_tokens": 5, "inventory_symbols": 4}, {},
+     "EntropyProfile(entropies=array([2., 1.]), sample_tokens=5, inventory_symbols=4)"),
+    (wordlen.SymbolStream,
+     {"symbols": np.array([0, 2, 1], dtype=np.uint8), "alphabet_size": 3}, {},
+     "SymbolStream(symbols=array([0, 2, 1], dtype=uint8), alphabet_size=3)"),
+]
+
+
+@pytest.mark.parametrize("cls, values, defaults, text", RECORDS,
+                         ids=[record[0].__name__ for record in RECORDS])
+def test_record_classes_keep_their_value_semantics(cls, values, defaults, text):
+    a, b = cls(*values.values()), cls(**values)
+    assert repr(a) == repr(b) == text
+    required = {k: v for k, v in values.items() if k not in defaults}
+    assert repr(cls(*required.values())) == repr(cls(**required, **defaults))
+    for field in values:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    if cls in (wordlen.EntropyProfile, wordlen.SymbolStream):
+        return  # a record of an array compares and hashes as the array does
+    assert a == b
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert type(copied) is cls and copied == a and repr(copied) == text
+    if cls is not Artifact:  # an artifact's payload is a dict
+        assert hash(a) == hash(b)
+    for field in {"label", "name"} & set(values):  # they name a record and are not compared
+        renamed = cls(**{**values, field: "other"})
+        assert renamed == a and hash(renamed) == hash(a)
+        assert cls(**required, **defaults) != a
