@@ -41,7 +41,7 @@ from .ingest import load_corpus, load_wordlist, word_length_histogram
 from .inventory import (PRESET_NAMES, SymbolInventory, _flag_real, _flag_whole, _read_whole,
                         _whole, read_utf8, resolve_inventory)
 from .ngram import _check_order, entropy_profile
-from .report import Artifact, WordLengthHistogram
+from .report import Artifact
 
 _MAX_LENGTH = 10_000  # 200 times the default; a count is kept for every length
 # what a command returns: its artifacts with their destinations, and its notes
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("wordlist")
     p_fit.add_argument("--max-length", type=_flag_whole, default=50)
     p_fit.add_argument("--label", default="", help="language label for the report")
-    p_fit.add_argument("--scale-a", type=_flag_real, default=report.DEFAULT_SCALE_A,
+    p_fit.add_argument("--scale-a", type=_flag_real, default=lengthmodel.DEFAULT_SCALE_A,
                        help="shared scale constant of the vocabulary closed form")
     p_fit.add_argument("--trim-tail", action="store_true",
                        help="drop cells past the last nonzero observed length")
@@ -133,11 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="word list (or use --histogram)")
     p_imp.add_argument("--histogram", default="",
                        help="histogram CSV written by the histogram command")
-    p_imp.add_argument("--max-length", type=_flag_whole, default=50)
+    # --max-length and --inventory are left unset unless given, so that
+    # --histogram can refuse them
+    p_imp.add_argument("--max-length", type=_flag_whole)
     p_imp.add_argument("--label", default="")
     _add_common(p_imp, _cmd_implied)
-    # left unset unless given, so that --histogram can refuse them
-    p_imp.set_defaults(max_length=None, inventory=None)
+    p_imp.set_defaults(inventory=None)
 
     p_sim = sub.add_parser("simulate", help="bag-model word generation")
     p_sim.add_argument("--p", type=_flag_real, required=True,
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _wordlist_histogram(args) -> tuple[SymbolInventory, WordLengthHistogram]:
+def _wordlist_histogram(args) -> tuple[SymbolInventory, lengthmodel.WordLengthHistogram]:
     """The inventory and the distinct-word length histogram of ``args.wordlist``."""
     inv = resolve_inventory(args.inventory)
     lengths = load_wordlist(read_utf8(args.wordlist), inv, strict=args.strict)
@@ -168,7 +169,7 @@ def _cmd_histogram(args) -> _Result:
 
 
 def _cmd_fit(args) -> _Result:
-    report._check_scale_a(args.scale_a)  # before the word list is read
+    lengthmodel._check_scale_a(args.scale_a)  # before the word list is read
     inv, hist = _wordlist_histogram(args)
     model = lengthmodel.fit_p(hist, inv.symbol_count, trim_tail=args.trim_tail)
     artifact = report.fit_artifact(hist, model, label=args.label, scale_a=args.scale_a)

@@ -18,7 +18,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .inventory import InventoryError, SymbolInventory, _Record, _whole
-from .report import WordLengthHistogram
+from .lengthmodel import WordLengthHistogram
 
 if TYPE_CHECKING:
     import numpy as np

@@ -168,10 +168,12 @@ class SymbolInventory(_Record):
     Letter indices run 0..len(letters)-1 in the given order; the separator
     always takes the last index, ``separator_index == symbol_count - 1``.
 
-    ``letters`` may be any iterable of strings. Every symbol is brought to
-    the normal form of ``normalize`` before the duplicate check, so symbols
-    that differ only in case or in combining-character encoding are
-    rejected rather than kept as one that never matches.
+    ``letters`` may be any iterable of strings; a letter, ``separator`` or
+    ``name`` that is not a string, or a ``case_fold`` that is not a bool, is
+    refused. Every symbol is brought to the normal form of ``normalize``
+    before the duplicate check, so symbols that differ only in case or in
+    combining-character encoding are rejected rather than kept as one that
+    never matches.
 
     No symbol may hold a character that ``str.splitlines`` breaks at:
     text is read line by line, and no line can hold such a symbol.
@@ -210,6 +212,13 @@ class SymbolInventory(_Record):
 
     def __init__(self, letters, separator: str = " ", case_fold: bool = True,
                  name: str = "") -> None:
+        if not isinstance(case_fold, bool):  # bool("false") would be True
+            raise InventoryError(f"case_fold must be True or False, not {case_fold!r}")
+        letters = tuple(letters)
+        for field, value in (("name", name), ("separator", separator),
+                             *(("letter", sym) for sym in letters)):
+            if not isinstance(value, str):
+                raise InventoryError(f"{field} must be a string, not {value!r}")
         vars(self).update(case_fold=case_fold, name=name)  # normalize reads case_fold
         vars(self).update(letters=tuple(map(self.normalize, letters)),
                           separator=self.normalize(separator))

@@ -16,22 +16,28 @@ and provides the closed-form summaries of the fitted distribution:
     total vocabulary   ~  A * L**(b * ln L * p / (1 - p))
 
 The constants A and b of the vocabulary form are fit parameters; b is
-solved per language from an observed vocabulary size and A defaults to a
-shared 7.45. The model systematically overestimates counts for lengths well
-past the mean (see ``reliable_length_limit``), so per-length predictions
-out there should be treated as upper bounds.
+solved per language from an observed vocabulary size and A defaults to the
+shared ``DEFAULT_SCALE_A`` = 7.45. The model systematically overestimates
+counts for lengths well past the mean (see ``reliable_length_limit``), so
+per-length predictions out there should be treated as upper bounds.
+
+``WordLengthHistogram``, the observed counts the model is fit to, lives
+here too, and so does ``_check_scale_a``, the one rule for A that the CLI,
+the fit report and the closed forms apply. The histogram holds Python ints,
+so fitting it and reading a histogram CSV need no numpy. This module
+imports only ``inventory``, so ``ingest`` and ``simulate`` build histograms
+without loading ``report``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .inventory import _real, _Record, _whole
 
-if TYPE_CHECKING:
-    from .report import WordLengthHistogram
-
+# shared scale A of the vocabulary closed form ``vocab_total_approx``
+DEFAULT_SCALE_A = 7.45
 EXPECTED_FLOOR = 1e-6
 # fit_p's search: the p range, its grid step, and the refinement tolerance
 P_BOUNDS = (0.60, 0.99)
@@ -45,9 +51,46 @@ class FitError(RuntimeError):
     """The chi-square objective could not be minimized on the search range."""
 
 
+class WordLengthHistogram(_Record):
+    """Word counts per length 1..max_length, plus an overflow tally.
+
+    ``counts[N-1]`` is the number of words of exactly N symbols, a Python
+    int; words longer than ``max_length`` land in ``overflow`` so that
+    ``sum(counts) + overflow`` equals the number of lengths binned.
+    """
+
+    counts: tuple[int, ...]
+    max_length: int
+    overflow: int
+    label: str
+
+    def __init__(self, counts, max_length: int, overflow: int = 0, label: str = "") -> None:
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, not {label!r}")
+        vars(self).update(counts=tuple(_whole(c, "count", 0) for c in counts),
+                          max_length=_whole(max_length, "max_length", 1),
+                          overflow=_whole(overflow, "overflow", 0), label=label)
+        if len(self.counts) != self.max_length:
+            raise ValueError("counts must have one cell per length 1..max_length")
+
+    def count(self, length: int) -> int:
+        """Count of words of exactly ``length`` symbols (1-based)."""
+        if not 1 <= length <= self.max_length:
+            raise IndexError(f"length {length} outside 1..{self.max_length}")
+        return self.counts[length - 1]
+
+    def total(self) -> int:
+        return sum(self.counts) + self.overflow
+
+
 def _check_domain(symbols: int, p: float, least: int = 2) -> None:
     _whole(symbols, "symbol count", least)
     _real(p, "p", 0.0, 1.0, "()")
+
+
+def _check_scale_a(scale_a: float) -> float:
+    """``scale_a`` as a float, if it is finite and > 0."""
+    return _real(scale_a, "scale_a", 0.0, closed="()")
 
 
 def model_count(symbols: int, p: float, length: int) -> float:
@@ -232,7 +275,7 @@ def stddev_approx(p: float) -> float:
 def vocab_total_approx(symbols: int, p: float, scale_a: float, exponent_b: float) -> float:
     """Closed-form vocabulary size A * L**(b * ln L * p/(1-p))."""
     _check_domain(symbols, p)
-    scale_a = _real(scale_a, "scale_a", 0.0, closed="()")
+    scale_a = _check_scale_a(scale_a)
     exponent_b = _real(exponent_b, "exponent_b", 0.0)
     log_l = math.log(symbols)
     try:
@@ -252,7 +295,7 @@ def solve_b(symbols: int, p: float, scale_a: float, vocab_observed: float) -> fl
     b = ln(V/A) / (ln(L)^2 * p/(1-p)).
     """
     _check_domain(symbols, p)
-    scale_a = _real(scale_a, "scale_a", 0.0, closed="()")
+    scale_a = _check_scale_a(scale_a)
     vocab_observed = _real(vocab_observed, "vocab_observed", scale_a, closed="()")
     log_l = math.log(symbols)
     return math.log(vocab_observed / scale_a) / (log_l * log_l * p / (1.0 - p))

@@ -20,8 +20,9 @@ layer, so a failed write is raised there once as an ``OSError``, with
 nothing left in a buffer for the exit flush to fail on, and the stream's
 descriptor is left where it was.
 
-``WordLengthHistogram`` lives here, beside the artifacts that write and
-read it, and holds Python ints, so a histogram CSV is read without numpy.
+This is the top layer below ``cli``: it imports the layers whose results
+it writes, and none of them imports it, so ``import wordlen`` does not load
+it. ``WordLengthHistogram`` and ``DEFAULT_SCALE_A`` live in ``lengthmodel``.
 """
 
 from __future__ import annotations
@@ -31,49 +32,15 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import bridge, lengthmodel
 from .inventory import _read_whole, _real, _Record, _whole, read_json, read_utf8
+from .lengthmodel import WordLengthHistogram
+from .ngram import EntropyProfile
+from .simulate import SimulationConfig
 
-if TYPE_CHECKING:
-    from .ngram import EntropyProfile
-    from .simulate import SimulationConfig
-
-# shared scale A of the vocabulary closed form ``lengthmodel.vocab_total_approx``
-DEFAULT_SCALE_A = 7.45
 # columns printed at table precision in CSV
 ENTROPY_COLUMNS = frozenset({"entropy_bits"})
-
-
-class WordLengthHistogram(_Record):
-    """Word counts per length 1..max_length, plus an overflow tally.
-
-    ``counts[N-1]`` is the number of words of exactly N symbols, a Python
-    int; words longer than ``max_length`` land in ``overflow`` so that
-    ``sum(counts) + overflow`` equals the number of lengths binned.
-    """
-
-    counts: tuple[int, ...]
-    max_length: int
-    overflow: int
-    label: str
-
-    def __init__(self, counts, max_length: int, overflow: int = 0, label: str = "") -> None:
-        vars(self).update(counts=tuple(_whole(c, "count", 0) for c in counts),
-                          max_length=_whole(max_length, "max_length", 1),
-                          overflow=_whole(overflow, "overflow", 0), label=label)
-        if len(self.counts) != self.max_length:
-            raise ValueError("counts must have one cell per length 1..max_length")
-
-    def count(self, length: int) -> int:
-        """Count of words of exactly ``length`` symbols (1-based)."""
-        if not 1 <= length <= self.max_length:
-            raise IndexError(f"length {length} outside 1..{self.max_length}")
-        return self.counts[length - 1]
-
-    def total(self) -> int:
-        return sum(self.counts) + self.overflow
 
 
 class Artifact(_Record):
@@ -210,16 +177,11 @@ def read_histogram_csv(path: str | Path) -> WordLengthHistogram:
     return WordLengthHistogram(vec, max_length, overflow, label=label)
 
 
-def _check_scale_a(scale_a: float) -> None:
-    """Refuse a vocabulary scale constant that is not finite and > 0."""
-    _real(scale_a, "scale_a", 0.0, closed="()")
-
-
 def fit_artifact(
     hist: WordLengthHistogram,
     model: lengthmodel.FittedLengthModel,
     label: str = "",
-    scale_a: float = DEFAULT_SCALE_A,
+    scale_a: float = lengthmodel.DEFAULT_SCALE_A,
 ) -> Artifact:
     """Fit report: letter probability, goodness of fit, and the closed-form
     mean/sigma/vocabulary columns next to their observed counterparts.
@@ -228,7 +190,7 @@ def fit_artifact(
     The vocabulary exponent is solved from the observed vocabulary size and
     is omitted when the vocabulary is too small to exceed ``scale_a``.
     """
-    _check_scale_a(scale_a)
+    lengthmodel._check_scale_a(scale_a)
     symbols, p = model.symbols, model.p
     mean_obs = lengthmodel.observed_mean(hist)
     mean_model = lengthmodel.mean_exact(symbols, p, hist.max_length)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .inventory import _real, _Record, _whole
-from .report import WordLengthHistogram
+from .lengthmodel import WordLengthHistogram
 
 if TYPE_CHECKING:
     import numpy as np

@@ -143,6 +143,21 @@ def test_inventory_file_types_checked(tmp_path, spec):
         load_inventory_file(path)
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"case_fold": "false"}, "case_fold must be True or False, not 'false'"),
+    ({"case_fold": 1}, "case_fold must be True or False, not 1"),
+    ({"name": None}, "name must be a string, not None"),
+    ({"separator": 1}, "separator must be a string, not 1"),
+    ({"letters": ("a", 1)}, "letter must be a string, not 1"),
+    ({"letters": (b"a",)}, "letter must be a string, not b'a'"),
+], ids=["case_fold-str", "case_fold-int", "name", "separator", "letter-int", "letter-bytes"])
+def test_constructor_checks_its_field_types(field, message):
+    # "false" used to fold case, as bool("false") is True, and a letter 1
+    # reached unicodedata's TypeError
+    with pytest.raises(InventoryError, match=f"^{re.escape(message)}$"):
+        SymbolInventory(**{"letters": ("a",), **field})
+
+
 def test_resolve_inventory_prefers_presets():
     assert resolve_inventory("english").symbol_count == 27
     with pytest.raises(InventoryError, match="neither"):

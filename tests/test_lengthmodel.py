@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import wordlen
 from wordlen import lengthmodel as lm
 from wordlen import simulate
-from wordlen.report import WordLengthHistogram
+from wordlen.lengthmodel import WordLengthHistogram
 
 from reference_tables import (
     LANGUAGE_FITS,
@@ -144,9 +144,9 @@ class TestChiSquare:
         assert stat == pytest.approx((1.0 - 1e-6) ** 2 / 1e-6, rel=1e-12)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^observed and expected must have equal length$"):
             lm.chi_square_stat([1, 2], [1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative expected count$"):
             lm.chi_square_stat([1], [-2.0])
 
     @pytest.mark.parametrize("observed, expected", [
@@ -235,6 +235,12 @@ class TestFit:
         # p=0.60 edge, which is not a bracketed minimum
         with pytest.raises(lm.FitError, match="edge"):
             lm.fit_p(hist_from_model(27, 0.5), 27)
+        # counts that fall faster, or stay flatter, than the model at any p in range
+        for counts, edge in (([5, 1, 1] + [0] * 7, "0.600"), ([10**6] * 3 + [0] * 2, "0.990")):
+            message = (f"chi-square minimum sits at the p={edge} search edge; "
+                       "no interior minimum bracketed")
+            with pytest.raises(lm.FitError, match=f"^{re.escape(message)}$"):
+                lm.fit_p(WordLengthHistogram(counts, len(counts)), 27)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -277,8 +283,10 @@ class TestClosedForms:
         assert lm.mean_exact(24, 0.809, 50) == pytest.approx(6.014076332752734)
 
     def test_mean_exact_needs_mass(self):
-        with pytest.raises(ValueError):
-            lm.mean_exact(27, 1e-300, 50)
+        for max_length in (10, 50):
+            with pytest.raises(ValueError,
+                               match=r"^model carries no mass on 1\.\.max_length at this p$"):
+                lm.mean_exact(27, 1e-300, max_length)
 
     def test_mean_approx_values(self):
         assert lm.mean_approx(0.883) == pytest.approx(9.1, abs=0.05)
@@ -409,12 +417,20 @@ class TestLongestWord:
         assert 0.0 <= lm.model_count(symbols, p, round(root)) <= 2.0
 
     def test_no_root_raises(self):
-        with pytest.raises(lm.FitError):
-            lm.longest_word_estimate(3, 0.05)
+        for symbols, p in ((3, 0.05), (27, 0.1)):
+            with pytest.raises(lm.FitError,
+                               match="^virtual word length never reaches the one-word level$"):
+                lm.longest_word_estimate(symbols, p)
 
     def test_needs_three_symbols(self):
         with pytest.raises(ValueError):
             lm.longest_word_estimate(2, 0.9)
+
+
+@pytest.mark.parametrize("label", [None, 5, b"w"], ids=repr)
+def test_histogram_label_must_be_a_string(label):
+    with pytest.raises(ValueError, match=f"^label must be a string, not {re.escape(repr(label))}$"):
+        WordLengthHistogram((1, 2), 2, label=label)
 
 
 class TestObservedStats:

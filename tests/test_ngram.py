@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordlen import ngram
-from wordlen.ingest import load_corpus
+from wordlen.ingest import SymbolStream, load_corpus
 from wordlen.inventory import preset_inventory
 from wordlen.ngram import (EntropyProfile, _count_table, _count_windows, _distinct_windows,
                            entropy_profile)
@@ -270,6 +270,10 @@ class TestCounting:
             entropy_profile(stream, english, 2)
         with pytest.raises(ValueError, match="stream of 25 symbols .* inventory of 27"):
             entropy_profile(stream, 27, 1)
+        stream = SymbolStream(np.array([0, 2, 1], dtype=np.uint8), 3)
+        with pytest.raises(ValueError,
+                           match="^stream of 3 symbols does not match an inventory of 4$"):
+            entropy_profile(stream, 4, 1)
 
 
 class TestConditionalEntropy:

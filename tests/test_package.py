@@ -1,6 +1,8 @@
+import ast
 import copy
 import pickle
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,33 @@ def test_histogram_type_loads_no_numpy():
                             "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_import_wordlen_leaves_report_unloaded():
+    proc = run_python("-c", "import sys, wordlen; print('wordlen.report' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+# each module's layer: a module imports only modules of a lower layer, so
+# the import graph has no cycle, and the package itself never loads report
+LAYERS = {"inventory": 0, "bridge": 1, "lengthmodel": 1, "ingest": 2, "simulate": 2,
+          "ngram": 3, "report": 4, "__init__": 4, "cli": 5}
+
+
+def test_every_import_goes_down_the_layers():
+    # relative imports under `if TYPE_CHECKING:` count too
+    package = Path(wordlen.__file__).parent
+    assert {path.stem for path in package.glob("*.py")} == set(LAYERS)
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for name in [node.module] if node.module else [a.name for a in node.names]:
+                    assert LAYERS[name] < LAYERS[path.stem], f"{path.stem} imports {name}"
+            # a TYPE_CHECKING block is left only for numpy's types
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                assert ast.unparse(node.body) == "import numpy as np", path.stem
 
 
 # each record class, its fields' values in order, the defaults of the fields

@@ -77,6 +77,9 @@ class TestDrawLengths:
             SimulationConfig(0.5, 5, 0, 1)
         with pytest.raises(ValueError):
             SimulationConfig(0.5, 5, 10, 1, mode="maybe")
+        with pytest.raises(ValueError, match=re.escape(
+                "mode must be one of ('forced_first_letter', 'reject_empty')")):
+            SimulationConfig(0.5, 27, 10, 1, "other")
 
     @pytest.mark.parametrize("field, value, message", [
         ("symbols", 27.5, "symbol count must be an integer, not 27.5"),
