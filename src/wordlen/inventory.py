@@ -288,22 +288,25 @@ def load_inventory_file(path: str | Path) -> SymbolInventory:
 
         {"letters": ["a", "b", "ch"], "separator": " ", "case_fold": true, "name": "x"}
 
-    Only ``letters`` is required; ``name`` defaults to the file's stem.
+    The keys are the constructor's arguments, and only ``letters`` is
+    required: ``separator`` defaults to " ", ``case_fold`` to true and
+    ``name`` to the file's stem. Any other key is refused. ``letters`` must
+    be a list or a string (a string is read as one letter per character);
+    every other rule is ``SymbolInventory``'s own, and each refusal, of the
+    file or of the inventory it describes, starts with the file's path.
     """
     raw = read_json(path, InventoryError)
-    if not isinstance(raw, dict) or "letters" not in raw:
-        raise InventoryError(f"{path}: expected an object with a 'letters' list")
-    letters, separator = raw["letters"], raw.get("separator", " ")
-    case_fold, name = raw.get("case_fold", True), raw.get("name", Path(path).stem)
-    if not isinstance(letters, (list, str)) or not all(isinstance(s, str) for s in letters):
-        raise InventoryError(f"{path}: 'letters' must be a list of strings")
-    if not isinstance(separator, str):
-        raise InventoryError(f"{path}: 'separator' must be a string")
-    if not isinstance(name, str):  # str(None) would name it "None"
-        raise InventoryError(f"{path}: 'name' must be a string")
-    if not isinstance(case_fold, bool):  # bool("false") would be True
-        raise InventoryError(f"{path}: 'case_fold' must be true or false")
-    return SymbolInventory(letters, separator, case_fold, name)
+    # the constructor would read an object as its keys, and a number not at all
+    if not isinstance(raw, dict) or not isinstance(raw.get("letters"), (list, str)):
+        raise InventoryError(f"{path}: expected an object whose 'letters' is a list or a string")
+    for key in raw:
+        if key not in SymbolInventory._fields:
+            raise InventoryError(f"{path}: unknown key {key!r}; an inventory file takes "
+                                 f"only {', '.join(SymbolInventory._fields)}")
+    try:
+        return SymbolInventory(**{"name": Path(path).stem, **raw})
+    except InventoryError as err:
+        raise InventoryError(f"{path}: {err}") from None
 
 
 def resolve_inventory(spec: str) -> SymbolInventory:

@@ -1408,9 +1408,9 @@ class TestInventoryOption:
         assert read_histogram_csv(out).count(2) == 2
 
     @pytest.mark.parametrize("spec, problem", [
-        ({"letters": ["a", 1]}, "'letters' must be a list of strings"),
-        ({"letters": ["a", "b"], "separator": 5}, "'separator' must be a string"),
-        ({"letters": ["a", "b"], "name": None}, "'name' must be a string"),
+        ({"letters": ["a", 1]}, "letter must be a string, not 1"),
+        ({"letters": ["a", "b"], "separator": 5}, "separator must be a string, not 5"),
+        ({"letters": ["a", "b"], "name": None}, "name must be a string, not None"),
     ])
     def test_mistyped_inventory_file_fails_in_one_line(self, tmp_path, spec, problem):
         inv = tmp_path / "inv.json"

@@ -139,7 +139,9 @@ def test_inventory_file_types_checked(tmp_path, spec):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     with pytest.raises(InventoryError,
-                       match="bad.json: '(letters|separator|case_fold|name)' must"):
+                       match="bad.json: ((letter|separator|name) must be a string, not "
+                             "|case_fold must be True or False, not "
+                             "|expected an object whose 'letters' is a list or a string$)"):
         load_inventory_file(path)
 
 
