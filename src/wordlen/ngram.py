@@ -137,11 +137,30 @@ def _entropies(codes: np.ndarray, counts: np.ndarray, base: int,
 
 
 def _entropy(counts: np.ndarray) -> float:
+    """Plug-in entropy in bits of the positive ``counts``.
+
+    Each cell's log2 is libm's ``math.log2`` of its probability: numpy's
+    ``log2`` takes other code paths on AVX-512 and gives other last bits
+    there. It is taken once per distinct count up to ``top``, the largest
+    count or the number of counts if that is less, and gathered from a table
+    by count, so the table is no larger than the counts; the at most
+    ``total / counts.size`` cells past ``top`` take theirs one by one.
+    """
     import numpy as np
 
-    prob = counts / counts.sum()
-    h = np.log2(prob)
-    h *= prob
+    total = counts.sum()
+    top = min(int(counts.max()), counts.size)
+    index = np.minimum(counts, top + 1, dtype=np.intp)  # intp indexes fastest
+    present = np.zeros(top + 2, dtype=bool)
+    present[index] = True
+    distinct = np.flatnonzero(present[:-1])
+    table = np.zeros(top + 2)
+    table[distinct] = list(map(math.log2, (distinct / total).tolist()))
+    h = table[index]
+    past = np.flatnonzero(index > top)
+    del index, present, table  # the peak below is then h and the probabilities
+    h[past] = list(map(math.log2, (counts[past] / total).tolist()))
+    h *= counts / total
     # 0.0 - x, not -x, so that a one-cell distribution gives 0.0 and not -0.0
     return float(0.0 - h.sum())
 

@@ -1721,6 +1721,26 @@ def test_fit_writes_the_same_bytes_at_every_simd_level(model_wordlist, tmp_path)
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.skipif(not any(_cpu_features().get(f) for f in AVX512_DISPATCH),
+                    reason="numpy dispatches to none of the AVX-512 targets here")
+def test_entropy_writes_the_same_bytes_at_every_simd_level(tmp_path):
+    # numpy's AVX-512 log2 gave this corpus other last digits at orders 1 and 2
+    rng = random.Random(1485)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(rng.choices("abc ", weights=[1, 1, 1, 0.7], k=822)),
+                      encoding="utf-8")
+    inv = tmp_path / "abc.json"
+    inv.write_text(json.dumps({"letters": "abc"}), encoding="utf-8")
+    outputs = []
+    for disabled in ("", " ".join(AVX512_DISPATCH)):
+        proc = run_python("-m", "wordlen.cli", "entropy", corpus, "--inventory", inv,
+                          "--max-order", "3", "--format", "json",
+                          env={"NPY_DISABLE_CPU_FEATURES": disabled})
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments"])
 def test_empty_word_list(tmp_path, capsys, text):
     # no words is a histogram of zeros; what needs words fails in one line

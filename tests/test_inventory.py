@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordlen.ingest import load_wordlist
@@ -143,6 +145,56 @@ def test_inventory_file_types_checked(tmp_path, spec):
                              "|case_fold must be True or False, not "
                              "|expected an object whose 'letters' is a list or a string$)"):
         load_inventory_file(path)
+
+
+@settings(max_examples=200)
+@given(letters=st.one_of(st.lists(st.text(max_size=3), max_size=5), st.text(max_size=5)),
+       options=st.fixed_dictionaries({}, optional={"separator": st.text(max_size=2),
+                                                  "case_fold": st.booleans(),
+                                                  "name": st.text(max_size=4)}))
+def test_inventory_file_is_its_constructor_arguments(letters, options):
+    # the file's keys are the constructor's arguments, and name defaults to
+    # the stem; what the constructor refuses, the loader refuses with the path
+    kwargs = {"letters": letters, **options}
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "inv.json"
+        path.write_text(json.dumps(kwargs), encoding="utf-8")
+        try:
+            want = SymbolInventory(**{"name": "inv", **kwargs})
+        except InventoryError as err:
+            with pytest.raises(InventoryError, match=f"^{re.escape(f'{path}: {err}')}$"):
+                load_inventory_file(path)
+            return
+        got = load_inventory_file(path)
+    assert got == want and got.name == want.name
+
+
+@pytest.mark.parametrize("spec, problem", [
+    ({"letters": ["a", "A"]}, "duplicate symbol 'a'"),
+    ({"letters": ["a", "-"], "separator": "-"}, "separator '-' is also listed as a letter"),
+    ({"letters": []}, "inventory needs at least one letter"),
+    ({"letters": ["a", "b"], "seperator": "-"},
+     "unknown key 'seperator'; an inventory file takes only letters, separator, case_fold, name"),
+], ids=["duplicate", "separator-as-letter", "no-letters", "unknown-key"])
+def test_inventory_file_refusals_name_the_file(tmp_path, spec, problem):
+    # an unknown key is refused, or a misspelled "seperator" would go unseen
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(InventoryError, match=f"^{re.escape(f'{path}: {problem}')}$"):
+        load_inventory_file(path)
+
+
+def test_readme_inventory_example_loads(tmp_path):
+    # README's custom inventory is read by the loader, so the documented keys
+    # are the accepted ones
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Custom inventories are JSON", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "custom.json"
+    path.write_text(example, encoding="utf-8")
+    spec = json.loads(example)
+    inv = load_inventory_file(path)
+    assert inv == SymbolInventory(**spec) and inv.name == spec.get("name", "custom")
 
 
 @pytest.mark.parametrize("field, message", [

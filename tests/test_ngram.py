@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordlen import ngram
@@ -296,6 +296,21 @@ class TestConditionalEntropy:
         # both counters; a one-cell distribution gave -(0.0), printed as -0.00
         h = entropy_profile(np.zeros(tokens, dtype=np.uint8), 2, order).entropies
         assert [math.copysign(1.0, x) for x in h] == [1.0] * (order + 1)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([10, 300, 10**6]).flatmap(
+               lambda top: st.lists(st.integers(1, top), min_size=1, max_size=300)),
+           st.booleans())
+    @example([9, 65], False)  # numpy's AVX-512 log2 gave another last digit
+    def test_entropy_takes_libm_log2_of_each_cell(self, counts, narrow):
+        # counts no larger than their number go through a table by count,
+        # larger ones are sorted; both give the per-cell libm result, in the
+        # table count's narrowest dtype or the sorted count's int64
+        counts = np.array(counts, dtype=np.min_scalar_type(sum(counts)) if narrow else np.int64)
+        prob = counts / counts.sum()
+        h = np.array([math.log2(p) for p in prob.tolist()])
+        h *= prob
+        assert ngram._entropy(counts) == float(0.0 - h.sum())
 
     def test_markov_second_order(self):
         profile = entropy_profile(markov_stream(10**6, seed=42), 2, 2)
